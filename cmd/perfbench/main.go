@@ -49,10 +49,6 @@ type Entry struct {
 	SimCyclesPerOp  float64 `json:"sim_cycles_per_op"`
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
 	Runs            int     `json:"runs"`
-	// GoMaxProcs is set only on the scaling-curve entries that pin their
-	// own CPU budget (gomax1/2/4); everything else runs under the ambient
-	// budget recorded at the report level.
-	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 }
 
 // Report is the BENCH_speed.json document.
@@ -60,11 +56,8 @@ type Report struct {
 	Generated string `json:"generated"`
 	GoVersion string `json:"go_version"`
 	HostCPUs  int    `json:"host_cpus"`
-	// GoMaxProcs is the CPU budget the measurements ran under. Wall-clock
-	// numbers from different budgets are not comparable — the scaling
-	// scenarios exist precisely because parallel stepping changes ns/op
-	// with the core count — so -check refuses a baseline whose recorded
-	// budget differs.
+	// GoMaxProcs is the CPU budget the measurements ran under (the
+	// ambient default; perfbench never pins it).
 	GoMaxProcs int     `json:"gomaxprocs"`
 	Results    []Entry `json:"results"`
 	// SuiteWallSeconds is the wall time of one full `experiments -run all`
@@ -81,10 +74,7 @@ type scenario struct {
 	cfgName  config.Name
 	tus      int
 	interval uint64 // metrics sampling interval; 0 = no collector
-	workers  int    // sta.Machine.Workers; 0 = machine default
-	serial   bool   // force sequential stepping (DisableParallel)
 	tap      bool   // attach a telemetry progress tap (sta.Machine.Tap)
-	gomax    int    // pin runtime.GOMAXPROCS for this scenario; 0 = ambient
 	sampled  bool   // run under the standard sampled-simulation regime
 }
 
@@ -119,31 +109,11 @@ func scenarios() []scenario {
 		scenario{name: "sim/mcf/wth-wp-wec/8tu+tap", bench: "mcf",
 			cfgName: config.WTHWPWEC, tus: 8, tap: true},
 	)
-	// Scaling pairs: the same big machine stepped sequentially and with a
-	// fixed four-worker pool. The worker count is explicit (not the auto
-	// heuristic) so the parallel path engages — and allocs/op and
-	// sim-cycles/op stay deterministic — regardless of the host's core
-	// count; only the ns/op ratio between the pair members depends on
-	// GOMAXPROCS.
+	// Big machines: how the cycle loop's cost grows with the TU count.
+	// The "serial" suffix keeps the names continuous with older reports.
 	for _, tus := range []int{16, 32} {
-		out = append(out,
-			scenario{name: fmt.Sprintf("scale/mcf/wth-wp-wec/%dtu/serial", tus),
-				bench: "mcf", cfgName: config.WTHWPWEC, tus: tus, serial: true},
-			scenario{name: fmt.Sprintf("scale/mcf/wth-wp-wec/%dtu/par4", tus),
-				bench: "mcf", cfgName: config.WTHWPWEC, tus: tus, workers: 4},
-		)
-	}
-	// Parallel-scaling curve: the same par4 machine under pinned CPU
-	// budgets. allocs/op and sim-cycles/op are identical across the three
-	// (the compute/commit split is deterministic regardless of how many OS
-	// threads back the workers); only ns/op moves, and the gomax1→2→4 ratio
-	// IS the scaling curve BENCH_speed.json records. On a single-core host
-	// the curve is flat — the deterministic gates still hold.
-	for _, g := range []int{1, 2, 4} {
-		out = append(out, scenario{
-			name:    fmt.Sprintf("scale/mcf/wth-wp-wec/32tu/par4/gomax%d", g),
-			bench:   "mcf", cfgName: config.WTHWPWEC, tus: 32, workers: 4, gomax: g,
-		})
+		out = append(out, scenario{name: fmt.Sprintf("scale/mcf/wth-wp-wec/%dtu/serial", tus),
+			bench: "mcf", cfgName: config.WTHWPWEC, tus: tus})
 	}
 	// Sampled simulation under the standard regime (25% detailed coverage):
 	// the headline benchmark again, so the sampled-vs-detailed ns/op ratio
@@ -173,10 +143,6 @@ func measure(sc scenario) (Entry, error) {
 }
 
 func run(sc scenario, cfg sta.Config, prog *isa.Program) (Entry, error) {
-	if sc.gomax > 0 {
-		prev := runtime.GOMAXPROCS(sc.gomax)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	var cycles uint64
 	var failure error
 	res := testing.Benchmark(func(b *testing.B) {
@@ -188,8 +154,6 @@ func run(sc scenario, cfg sta.Config, prog *isa.Program) (Entry, error) {
 				failure = err
 				b.FailNow()
 			}
-			m.Workers = sc.workers
-			m.DisableParallel = sc.serial
 			if sc.sampled {
 				m.Sample = sampleRegime()
 			}
@@ -219,7 +183,6 @@ func run(sc scenario, cfg sta.Config, prog *isa.Program) (Entry, error) {
 		SimCyclesPerOp:  perOp,
 		SimCyclesPerSec: perOp / (float64(res.NsPerOp()) / 1e9),
 		Runs:            res.N,
-		GoMaxProcs:      sc.gomax,
 	}, nil
 }
 
@@ -385,14 +348,6 @@ func main() {
 				"perfbench: warning: baseline %s was measured on a %d-CPU host, this one has %d; "+
 					"wall-clock (ns/op) comparisons are indicative only\n",
 				*check, base.HostCPUs, rep.HostCPUs)
-		}
-		if base.GoMaxProcs != 0 && base.GoMaxProcs != rep.GoMaxProcs {
-			fmt.Fprintf(os.Stderr,
-				"perfbench: baseline %s was measured with GOMAXPROCS=%d but this run used %d; "+
-					"wall-clock numbers are not comparable across CPU budgets — "+
-					"re-run with GOMAXPROCS=%d or regenerate the baseline\n",
-				*check, base.GoMaxProcs, rep.GoMaxProcs, base.GoMaxProcs)
-			os.Exit(1)
 		}
 		if bad := compare(base, rep, *tol, *strict); len(bad) > 0 {
 			for _, line := range bad {

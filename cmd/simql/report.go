@@ -268,7 +268,7 @@ func perfTrendChart(dir string) (chart, bool) {
 		"micro/cycle-loop/1tu",
 		"sim/mcf/wth-wp-wec/8tu",
 		"sim/mcf/orig/8tu",
-		"scale/mcf/wth-wp-wec/32tu/par4",
+		"scale/mcf/wth-wp-wec/32tu/serial",
 	}
 	c := chart{
 		ID:       "perftrend",

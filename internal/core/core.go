@@ -300,56 +300,11 @@ type Core struct {
 	// metrics, when non-nil, observes load-to-use distances at dispatch.
 	metrics *metrics.Collector
 
-	// obsDefer, when set, buffers load-to-use observations in defLoadUse
-	// instead of calling the (shared) metrics collector: the parallel
-	// stepping compute phase may not touch shared state. FlushObservations
-	// drains the buffer during the serial commit phase.
-	obsDefer   bool
-	defLoadUse []uint64
-
-	// ctlInFlight counts ROB entries whose commit has effects outside this
-	// thread unit (Env callbacks and TST target-store delivery). While zero,
-	// stepping this core cannot touch another TU for at least two cycles —
-	// every such opcode needs a dispatch-to-commit latency of at least two —
-	// which is what lets the sta parallel stepper batch it safely.
-	ctlInFlight int
-
 	// chaos, when non-nil, draws deterministic panic injections at the top
 	// of Step (the supervision layer's core-level fault point).
 	chaos *chaos.Injector
 
 	Stats Stats
-}
-
-// isCtl reports whether an opcode's commit has cross-TU effects: the
-// superthreaded control markers (Env callbacks) and the TST target store,
-// which delivers its value to downstream memory buffers.
-func isCtl(op isa.Op) bool {
-	switch op {
-	case isa.BEGIN, isa.FORK, isa.TSAGD, isa.TSA, isa.THEND, isa.ABORT,
-		isa.HALT, isa.TST:
-		return true
-	}
-	return false
-}
-
-// CtlQuiet reports that no instruction with cross-TU commit effects is in
-// flight. While true, Step cannot invoke Env or deliver a target store this
-// cycle or the next (such an instruction dispatched now reaches commit no
-// earlier than two cycles later).
-func (c *Core) CtlQuiet() bool { return c.ctlInFlight == 0 }
-
-// SetObsDefer switches metrics observation into deferred mode (parallel
-// compute phases) or back to direct calls.
-func (c *Core) SetObsDefer(on bool) { c.obsDefer = on }
-
-// FlushObservations forwards observations buffered during deferred mode to
-// the metrics collector. Called from the serial commit phase, in TU order.
-func (c *Core) FlushObservations() {
-	for _, d := range c.defLoadUse {
-		c.metrics.ObserveLoadUse(d)
-	}
-	c.defLoadUse = c.defLoadUse[:0]
 }
 
 // SetMetrics attaches (or detaches, with nil) an observability collector.
@@ -499,7 +454,6 @@ func (c *Core) clearPipeline() {
 	c.wrongQ = c.wrongQ[:0]
 	c.fetchStopped = false
 	c.redirectStall = 0
-	c.ctlInFlight = 0
 }
 
 // releaseInFlight returns every outstanding memory request held by live ROB

@@ -140,9 +140,6 @@ func (c *Core) commit(cycle uint64) {
 			return
 		}
 		in := c.rob.inst[idx]
-		if isCtl(in.Op) {
-			c.ctlInFlight--
-		}
 		// Architectural register writeback.
 		if in.HasDest() {
 			if in.Op.FPDest() {
@@ -267,7 +264,6 @@ func (c *Core) squashAll() {
 	c.Stats.SquashedInsts += uint64(c.robCount)
 	c.releaseInFlight()
 	c.robHead, c.robTail, c.robCount = 0, 0, 0
-	c.ctlInFlight = 0
 	for i := range c.renameInt {
 		c.renameInt[i] = -1
 	}
@@ -438,9 +434,6 @@ func (c *Core) recover(cycle uint64, agePos, nextPC int) {
 		idx := c.slotAt(p)
 		in := c.rob.inst[idx]
 		c.Stats.SquashedInsts++
-		if isCtl(in.Op) {
-			c.ctlInFlight--
-		}
 		if r := c.rob.req[idx]; r != nil {
 			r.Release()
 			c.rob.req[idx] = nil
@@ -783,10 +776,6 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 	if c.metrics != nil {
 		c.observeLoadUse(idx)
 	}
-	if isCtl(in.Op) {
-		c.ctlInFlight++
-	}
-
 	// Markers with no execution latency complete immediately at dispatch+1.
 	switch in.Op {
 	case isa.NOP, isa.HALT, isa.BEGIN, isa.FORK, isa.TSAGD, isa.THEND, isa.ABORT:
@@ -862,21 +851,11 @@ func (c *Core) dispatch(cycle uint64, in isa.Inst) {
 func (c *Core) observeLoadUse(idx int) {
 	f := c.rob.flags[idx]
 	if f&fUse1 != 0 && f&fS1Rdy == 0 && c.rob.inst[c.rob.s1rob[idx]].Op.IsLoad() {
-		c.obsLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s1rob[idx]))))
+		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s1rob[idx]))))
 	}
 	if f&fUse2 != 0 && f&fS2Rdy == 0 && c.rob.inst[c.rob.s2rob[idx]].Op.IsLoad() {
-		c.obsLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s2rob[idx]))))
+		c.metrics.ObserveLoadUse(uint64(c.posOf(idx) - c.posOf(int(c.rob.s2rob[idx]))))
 	}
-}
-
-// obsLoadUse records one distance, buffering it when the parallel compute
-// phase has deferred observation (the histogram is shared across TUs).
-func (c *Core) obsLoadUse(dist uint64) {
-	if c.obsDefer {
-		c.defLoadUse = append(c.defLoadUse, dist)
-		return
-	}
-	c.metrics.ObserveLoadUse(dist)
 }
 
 // readOperand resolves source register r into operand op (0 or 1) of slot

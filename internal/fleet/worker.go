@@ -31,9 +31,6 @@ type WorkerConfig struct {
 	Name string
 	// Slots bounds concurrently simulated cells (default 1).
 	Slots int
-	// SimWorkers is each machine's intra-simulation goroutine budget
-	// (harness.Runner.SimWorkers semantics).
-	SimWorkers int
 	// Chaos drives the client-side network fault injector and the
 	// worker-kill point (simulator-level chaos comes from the coordinator
 	// via the join handshake, so it cannot skew from the local path).
@@ -207,7 +204,6 @@ func (w *worker) runCell(slot int, cell Cell, lease uint64) {
 	}
 	r := harness.NewRunner(cell.Scale)
 	r.Workers = w.cfg.Slots
-	r.SimWorkers = w.cfg.SimWorkers
 	r.Attrib = w.join.Attrib
 	r.AttribTopN = w.join.AttribTopN
 	r.Timeout = time.Duration(w.join.TimeoutMS) * time.Millisecond

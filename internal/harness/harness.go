@@ -35,11 +35,6 @@ type Runner struct {
 	Scale int
 	// Workers bounds concurrent simulations; 0 means GOMAXPROCS.
 	Workers int
-	// SimWorkers is each machine's intra-simulation goroutine budget
-	// (sta.Machine.Workers). 0 divides GOMAXPROCS across the concurrent
-	// cells, so a wide batch keeps machines sequential while a lone big
-	// machine gets the whole host; negative forces sequential stepping.
-	SimWorkers int
 	// Verbose, when non-nil, receives one progress line per completed
 	// simulation. Writes are serialized; any io.Writer is safe.
 	Verbose io.Writer
@@ -298,10 +293,9 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 	}
 	var (
-		col        *metrics.Collector
-		rep        *attrib.Report
-		simWorkers int
-		remote     bool
+		col    *metrics.Collector
+		rep    *attrib.Report
+		remote bool
 	)
 	simStart := time.Now()
 	if r.Remote != nil && r.MetricsInterval == 0 && !r.Sample.Enabled() {
@@ -327,24 +321,6 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 			return nil, r.quarantine(k, bench, simerr.Classify("harness.Result", err, simerr.BadProgram))
 		}
 		m.Sample = r.Sample
-		switch {
-		case r.SimWorkers > 0:
-			m.Workers = r.SimWorkers
-		case r.SimWorkers < 0:
-			m.DisableParallel = true
-		default:
-			// Split the host between concurrent cells; the machine's own
-			// heuristic further trims the share for small TU counts.
-			cells := r.Workers
-			if cells <= 0 {
-				cells = runtime.GOMAXPROCS(0)
-			}
-			if w := runtime.GOMAXPROCS(0) / cells; w > 1 {
-				m.Workers = w
-			} else {
-				m.DisableParallel = true
-			}
-		}
 		if r.MetricsInterval > 0 {
 			// Per-run collector: nothing is shared between workers.
 			col = metrics.NewCollector(r.MetricsInterval)
@@ -360,10 +336,6 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 			m.Tap = cell.Tap
 		} else if r.MakeTap != nil {
 			m.Tap = r.MakeTap(bench, k)
-		}
-		simWorkers = m.Workers
-		if m.DisableParallel {
-			simWorkers = 0
 		}
 		res, err = r.runSupervised(k, m, cell)
 		if err != nil {
@@ -413,7 +385,6 @@ func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err erro
 		}
 		man.GitRev = r.ArchiveRev
 		man.WallSeconds = simWall.Seconds()
-		man.Workers = simWorkers
 		if r.Chaos.Enabled() {
 			man.Seed = r.Chaos.Seed
 		}

@@ -32,8 +32,7 @@ type Hierarchy struct {
 	// The backing array is reused once the queue drains.
 	l2Queue []l2Req
 	l2qHead int
-	fills   []fill  // binary min-heap ordered by at
-	def     []tuDef // per-TU deferred-effect queues (parallel stepping)
+	fills   []fill // binary min-heap ordered by at
 	cycle   uint64
 	chaos   *chaos.Injector
 
@@ -119,7 +118,6 @@ func NewHierarchy(nTU int, cfg Config) (*Hierarchy, error) {
 	}
 	h.dunits = make([]DUnit, nTU)
 	h.iunits = make([]IUnit, nTU)
-	h.def = make([]tuDef, nTU)
 	for tu := 0; tu < nTU; tu++ {
 		if err := h.dunits[tu].init(h, tu, cfg); err != nil {
 			return nil, err
@@ -169,24 +167,14 @@ func (h *Hierarchy) BeginCycle(cycle uint64) {
 	}
 }
 
-// toL2 enqueues a fill request for an L1 block. During a parallel compute
-// phase the request is captured into the TU's effect queue instead, and
-// joins the shared FIFO at commit time in TU-ID order.
+// toL2 enqueues a fill request for an L1 block.
 func (h *Hierarchy) toL2(cycle uint64, tu int, isI bool, block uint64) {
-	if q := &h.def[tu]; q.active {
-		q.push(defEffect{kind: efToL2, cycle: cycle, a: block, flag: isI})
-		return
-	}
 	h.l2Queue = append(h.l2Queue, l2Req{block: block, ready: cycle + 1, tu: tu, isI: isI})
 }
 
 // writeback models a dirty eviction below the L1s. Writebacks consume L2
 // bandwidth statistics but, as in sim-outorder, do not delay demand fills.
-func (h *Hierarchy) writeback(tu int, cycle uint64, block uint64) {
-	if q := &h.def[tu]; q.active {
-		q.push(defEffect{kind: efWriteback, cycle: cycle, a: block})
-		return
-	}
+func (h *Hierarchy) writeback(block uint64) {
 	h.Writebacks++
 	h.l2.Insert(block, 0, true)
 }
@@ -332,8 +320,5 @@ func (h *Hierarchy) Reset() {
 	}
 	h.l2Queue, h.l2qHead = nil, 0
 	h.fills = nil
-	for i := range h.def {
-		h.def[i] = tuDef{}
-	}
 	h.L2Accesses, h.L2Misses, h.DRAMFills, h.Writebacks, h.UpdateBus = 0, 0, 0, 0, 0
 }

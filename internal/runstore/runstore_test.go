@@ -302,21 +302,6 @@ func TestCompareFlagsRegression(t *testing.T) {
 	}
 }
 
-func TestBootstrapDeterministic(t *testing.T) {
-	xs := []float64{0.01, -0.02, 0.03, -0.04, 0.05}
-	lo1, hi1 := BootstrapCI(xs, 5000, 7, 0.95)
-	lo2, hi2 := BootstrapCI(xs, 5000, 7, 0.95)
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Errorf("same seed produced different intervals: [%g,%g] vs [%g,%g]", lo1, hi1, lo2, hi2)
-	}
-	if lo1 > hi1 {
-		t.Errorf("inverted interval [%g, %g]", lo1, hi1)
-	}
-	if mean(xs) < lo1 || mean(xs) > hi1 {
-		t.Errorf("interval [%g, %g] does not cover the sample mean %g", lo1, hi1, mean(xs))
-	}
-}
-
 func TestPareto(t *testing.T) {
 	baseline := []*Manifest{
 		mkManifest(t, "mcf", config.Orig, 8, 16, 2000),

@@ -97,7 +97,7 @@ const (
 )
 
 // Sampler drives one run's sampling regime. Not safe for concurrent use;
-// the sta run loop calls it between cycles, outside the parallel workers.
+// the sta run loop calls it between cycles.
 type Sampler struct {
 	cfg        Config
 	phase      Phase

@@ -41,7 +41,6 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.DisableParallel = true
 	// Mirror RunContext's setup for the sequential path, then warm up past
 	// cold-start growth (caches, queues, pools).
 	m.attachMetrics()
@@ -77,7 +76,6 @@ func TestStepSteadyStateZeroAllocsWithTap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.DisableParallel = true
 	m.Tap = &ProgressTap{}
 	m.attachMetrics()
 	m.attachAttrib()

@@ -128,7 +128,8 @@ type Machine struct {
 
 	// Attrib, when non-nil, receives fill-provenance and pollution events
 	// from every data unit: the prefetch-effectiveness attribution layer.
-	// Attach before Run; read results with Attrib.Report after. When
+	// Attach before Run; read results with Attrib.Report after. Run
+	// rejects it together with an enabled Sample regime. When
 	// Metrics is also attached, the attribution counters register in its
 	// registry and pollution/promotion instants go to its timeline.
 	Attrib *attrib.Collector
@@ -153,19 +154,6 @@ type Machine struct {
 	// nil check per run-loop iteration.
 	Tap *ProgressTap
 
-	// Workers caps the goroutines stepping thread units in parallel.
-	// 0 picks automatically (one worker per four TUs, bounded by
-	// GOMAXPROCS); 1 forces the plain sequential loop. Results are
-	// bit-identical at every setting (the parallel-equivalence test
-	// asserts it); the knob trades rendezvous overhead against core
-	// throughput.
-	Workers int
-
-	// DisableParallel forces the sequential cycle loop regardless of
-	// Workers, mirroring DisableSkip: results are identical either way,
-	// the knob exists for the equivalence tests and for debugging.
-	DisableParallel bool
-
 	// Sample, when enabled, switches the run to SMARTS-style sampled
 	// simulation: detailed execution only inside the regime's measurement
 	// windows, functional fast-forward with cache/predictor warming in
@@ -179,12 +167,12 @@ type Machine struct {
 	hier *mem.Hierarchy
 
 	// tus holds the thread units inline, one contiguous block indexed by
-	// TU id: the per-cycle scheduling scans (step, nextWake, classify)
-	// walk every TU touching a few scalar fields each, and a value slice
-	// keeps those fields at fixed strides instead of chasing one pointer
-	// per TU. The slice is sized once at New and never reallocated —
-	// cores and the hierarchy hold &tus[i] for the machine's lifetime —
-	// so iteration must always go through &m.tus[i], never a range copy.
+	// TU id: the per-cycle scheduling scans (step, nextWake) walk every TU
+	// touching a few scalar fields each, and a value slice keeps those
+	// fields at fixed strides instead of chasing one pointer per TU. The
+	// slice is sized once at New and never reallocated — cores and the
+	// hierarchy hold &tus[i] for the machine's lifetime — so iteration
+	// must always go through &m.tus[i], never a range copy.
 	tus []threadUnit
 
 	cycle      uint64
@@ -206,24 +194,6 @@ type Machine struct {
 	aborts       uint64
 	wrongThreads uint64
 	mbOverflows  uint64
-
-	// Parallel-stepping state (see parallel.go). computing is true during
-	// a compute phase, when thread units defer cross-TU effects;
-	// windowBase anchors a window's per-cycle effect slots. wdLast /
-	// wdLastCycle are the forward-progress watchdog's bookkeeping, held on
-	// the machine so multi-cycle windows observe progress at the same
-	// cycles the sequential loop does.
-	par         *parRunner
-	computing   bool
-	windowBase  uint64
-	windowOK    bool
-	wdLast      uint64
-	wdLastCycle uint64
-
-	// Engagement counters: how many parallel segments and two-cycle
-	// windows ran. Tests assert the parallel path is actually exercised.
-	statSegments uint64
-	statWindows  uint64
 
 	// Sampled-simulation state (see sample.go): the phase controller, the
 	// persistent functional engine for fast-forward legs, and the TU its
@@ -298,6 +268,13 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 		// flight recorder most of all — see the terminal state.
 		m.publishProgress(true)
 	}()
+	if m.Attrib != nil && m.Sample.Enabled() {
+		// Fast-forward warming rewrites the L1s behind the attribution
+		// layer's shadow tables, so its accounting would not balance.
+		return nil, simerr.Errorf(simerr.BadProgram, "sta.Run",
+			"attribution (Machine.Attrib) is not supported under sampled simulation (Machine.Sample %s); attribution runs detailed only",
+			m.Sample.Key())
+	}
 	m.attachMetrics()
 	m.attachAttrib()
 	m.attachChaos()
@@ -309,22 +286,15 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 	if wd == 0 {
 		wd = DefaultWatchdogCycles
 	}
-	nw := m.resolveWorkers()
-	if nw > 1 {
-		m.startPar(nw)
-		defer m.stopPar()
-		m.windowOK = m.cfg.TransferPerValue >= 2 &&
-			m.cfg.Mem.L2HitLat >= 2 &&
-			m.cfg.Mem.MemLat >= m.cfg.Mem.L2HitLat+2
-	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	m.wdLast, m.wdLastCycle = m.progress, m.cycle
+	lastProgress, lastProgressCycle := m.progress, m.cycle
 	for iter := uint64(0); !m.halted; iter++ {
-		m.observeProgress()
-		if m.cycle-m.wdLastCycle >= wd {
+		if m.progress != lastProgress {
+			lastProgress, lastProgressCycle = m.progress, m.cycle
+		} else if m.cycle-lastProgressCycle >= wd {
 			return nil, m.stallError(simerr.Deadlock,
 				fmt.Errorf("no instruction retired for %d cycles (watchdog window)", wd))
 		}
@@ -345,18 +315,14 @@ func (m *Machine) RunContext(ctx context.Context) (res *Result, err error) {
 			default:
 			}
 		}
-		if nw > 1 {
-			m.stepPar(m.wdLastCycle + wd)
-		} else {
-			m.step()
-		}
+		m.step()
 		if m.sampler != nil && !m.halted {
 			if serr := m.sampleCheck(ctx); serr != nil {
 				return nil, serr
 			}
 		}
 		if !m.halted && !m.DisableSkip {
-			m.skipIdle(m.wdLastCycle + wd)
+			m.skipIdle(lastProgressCycle + wd)
 		}
 	}
 	// Drain: let outstanding wrong threads disappear with the machine; the
@@ -381,10 +347,8 @@ func (m *Machine) attachChaos() {
 		return
 	}
 	// Each core draws from its own forked stream, keyed by TU id, so a
-	// core's injection sequence depends only on its own step history —
-	// never on how TUs interleave across worker goroutines. Machine- and
-	// hierarchy-level points stay on the root injector; both fire only
-	// from the coordinator.
+	// core's injection sequence depends only on its own step history.
+	// Machine- and hierarchy-level points stay on the root injector.
 	for i := range m.tus {
 		m.tus[i].core.SetChaos(m.Chaos.Fork(fmt.Sprintf("tu%d", i)))
 	}
@@ -411,8 +375,8 @@ func (m *Machine) step() {
 }
 
 // endCycle advances the clock: the parallel-cycle counter, the cycle
-// itself, and the metrics sampler. Shared by the sequential step, the
-// parallel step, and window replay so all three account identically.
+// itself, and the metrics sampler. Shared by step and the sampler's
+// hierarchy drain so both account identically.
 func (m *Machine) endCycle() {
 	if m.inParallel {
 		m.parCycles++
@@ -420,16 +384,6 @@ func (m *Machine) endCycle() {
 	m.cycle++
 	if m.Metrics != nil {
 		m.Metrics.MaybeSample(m.cycle)
-	}
-}
-
-// observeProgress records the cycle at which forward progress was last
-// seen. The sequential loop calls it once per iteration; window replay
-// calls it per replayed cycle, keeping the watchdog's observation points
-// identical across stepping modes.
-func (m *Machine) observeProgress() {
-	if m.progress != m.wdLast {
-		m.wdLast, m.wdLastCycle = m.progress, m.cycle
 	}
 }
 

@@ -152,9 +152,8 @@ func (t *ProgressTap) push(s ProgressSample) {
 // publishProgress pushes the machine's progress into the attached tap.
 // Called from the run loop every 1024 iterations (and from the failure
 // paths with force=true so the flight recorder sees the dying state).
-// Between worker rendezvous the coordinator is the only goroutine touching
-// simulator state, so the reads below are race-free; readers only ever see
-// the atomics and the mutex-guarded copies.
+// It runs on the simulation goroutine, so the reads below are race-free;
+// readers only ever see the atomics and the mutex-guarded copies.
 func (m *Machine) publishProgress(force bool) {
 	t := m.Tap
 	if t == nil {

@@ -16,7 +16,7 @@ import (
 // functional fast-forward — are quantized to the machine's *sequential
 // quiescent safepoints*: exactly one thread unit running sequential code,
 // every other TU idle with a fully quiet core, no parallel region, no
-// pending fork, no compute phase in flight. At such a point the machine's
+// pending fork. At such a point the machine's
 // entire future is determined by architectural state (registers + memory
 // image) plus cache/predictor contents, so detailed execution can be
 // suspended, replayed functionally with cache and branch-predictor
@@ -24,14 +24,12 @@ import (
 // the warm microarchitectural state approximated (which the next warmup
 // window absorbs).
 //
-// Determinism: the check runs between step/stepPar and skipIdle. Idle
-// skips span only provably inert cycles (the virtual instruction count
-// cannot change inside one), and two-cycle parallel windows require every
-// TU compute-safe — a sequential-running TU is serial-class — so no
-// safepoint can appear or disappear inside a skipped span or a window
-// interior. Phase transitions therefore land on identical cycle boundaries
-// across {sequential, parallel} × {stepped, skip} stepping modes; the
-// sampling-determinism tests pin that.
+// Determinism: the check runs between step and skipIdle. Idle skips span
+// only provably inert cycles (the virtual instruction count cannot change
+// inside one), so no safepoint can appear or disappear inside a skipped
+// span. Phase transitions therefore land on identical cycle boundaries
+// whether idle spans are stepped or skipped; the sampling-determinism
+// tests pin that.
 
 // ffChunk bounds one StepN call during bulk fast-forward, so cancellation
 // and overshoot checks run at a sane granularity.
@@ -93,7 +91,7 @@ func (m *Machine) sampleCounters() sample.Counters {
 // atSafepoint returns the lone sequential-running thread unit when the
 // machine is at a sequential quiescent safepoint, nil otherwise.
 func (m *Machine) atSafepoint() *threadUnit {
-	if m.inParallel || m.pending != nil || m.halted || m.computing || m.livelocked {
+	if m.inParallel || m.pending != nil || m.halted || m.livelocked {
 		return nil
 	}
 	var run *threadUnit

@@ -38,13 +38,6 @@ type threadUnit struct {
 	lastWrong   uint64 // last observed wrong-thread commit count
 	parCommits  uint64
 	startedAt   uint64 // cycle the current thread began (metrics lifetime)
-
-	// Parallel-compute capture (see parallel.go): forward-progress deltas
-	// per window slot and TSAG chain flags destined for the successor,
-	// merged into shared state by the serial commit phase in TU-ID order.
-	pendProgress [2]uint64
-	pendChain    []pendFlag
-	chainHead    int
 }
 
 // init prepares a zero-valued thread unit in place. Thread units live in
@@ -84,11 +77,7 @@ func (tu *threadUnit) step(cycle uint64) {
 		tu.lastCommits = tu.core.Stats.Commits
 		wdelta := tu.core.Stats.WrongCommits - tu.lastWrong
 		tu.lastWrong = tu.core.Stats.WrongCommits
-		if tu.m.computing {
-			tu.pendProgress[cycle-tu.m.windowBase] += delta + wdelta
-		} else {
-			tu.m.progress += delta + wdelta
-		}
+		tu.m.progress += delta + wdelta
 		if tu.parMode || (tu.m.seqLoops && tu.m.inParallel) {
 			tu.parCommits += delta
 		}
@@ -114,23 +103,14 @@ func (tu *threadUnit) updateChain(cycle uint64) {
 	}
 	tu.tsagChainDone = true
 	if tu.succ >= 0 {
-		at := cycle + uint64(tu.m.cfg.TransferPerValue)
-		if tu.m.computing {
-			// Compute phase: the successor write is captured and applied
-			// at commit. Exact because the flag is inert until at (the
-			// hop is at least one cycle).
-			tu.pendChain = append(tu.pendChain, pendFlag{c: cycle, at: at})
-			return
-		}
 		s := &tu.m.tus[tu.succ]
 		s.hasPredFlag = true
-		s.predChainAt = at
+		s.predChainAt = cycle + uint64(tu.m.cfg.TransferPerValue)
 	}
 }
 
 // drainWB writes buffered stores to the caches, a port's worth per cycle.
 func (tu *threadUnit) drainWB(cycle uint64) {
-	tu.m.assertSerial("write-back drain")
 	du := tu.du()
 	for i := 0; i < tu.m.cfg.Mem.L1DPorts; i++ {
 		s, ok := tu.memBuf.drainOne()
@@ -251,7 +231,6 @@ func (tu *threadUnit) WrongLoad(cycle uint64, addr uint64, pc int) bool {
 // coherence) during sequential execution.
 func (tu *threadUnit) CommitStore(cycle uint64, addr uint64, val int64, target bool, pc int) {
 	if !tu.parMode {
-		tu.m.assertSerial("sequential store commit")
 		tu.m.img.WriteWord(addr, val)
 		tu.du().Access(cycle, addr, mem.Store, mem.SrcDemand, pc).Release()
 		tu.m.hier.SequentialUpdate(tu.id, addr)
@@ -259,7 +238,6 @@ func (tu *threadUnit) CommitStore(cycle uint64, addr uint64, val int64, target b
 	}
 	tu.memBuf.writeOwn(addr, val)
 	if target {
-		tu.m.assertSerial("target-store delivery")
 		e, ok := tu.ownTargets[addr]
 		if !ok {
 			e = &mbEntry{}
@@ -285,7 +263,6 @@ func (tu *threadUnit) LoadsAllowed() bool {
 // becomes the region's head thread.
 func (tu *threadUnit) OnBegin(cycle uint64, mask int64) {
 	m := tu.m
-	m.assertSerial("BEGIN")
 	m.inParallel = true
 	m.regionMask = mask
 	m.emit(tu.id, trace.Begin, mask)
@@ -311,7 +288,6 @@ func (tu *threadUnit) OnBegin(cycle uint64, mask int64) {
 // the ring is idle and the fork/transfer delay has elapsed.
 func (tu *threadUnit) OnFork(cycle uint64, target int) {
 	m := tu.m
-	m.assertSerial("FORK")
 	if m.seqLoops {
 		m.forks++
 		return
@@ -334,7 +310,6 @@ func (tu *threadUnit) OnFork(cycle uint64, target int) {
 
 // OnTsagd marks the end of this thread's TSAG stage.
 func (tu *threadUnit) OnTsagd(cycle uint64) {
-	tu.m.assertSerial("TSAGD")
 	if tu.m.seqLoops {
 		return
 	}
@@ -345,7 +320,6 @@ func (tu *threadUnit) OnTsagd(cycle uint64) {
 
 // OnTsa announces a target-store address to all downstream threads.
 func (tu *threadUnit) OnTsa(cycle uint64, addr uint64) {
-	tu.m.assertSerial("TSA")
 	if tu.m.seqLoops || !tu.parMode {
 		return
 	}
@@ -361,7 +335,6 @@ func (tu *threadUnit) OnTsa(cycle uint64, addr uint64) {
 // OnThend ends the iteration body: correct threads proceed to write-back,
 // wrong threads kill themselves (they never write back, §3.1.2).
 func (tu *threadUnit) OnThend(cycle uint64) {
-	tu.m.assertSerial("THEND")
 	if tu.m.seqLoops {
 		return
 	}
@@ -377,7 +350,6 @@ func (tu *threadUnit) OnThend(cycle uint64) {
 // thread. Successor threads are killed, or marked wrong under wth.
 func (tu *threadUnit) OnAbort(cycle uint64, resumePC int) {
 	m := tu.m
-	m.assertSerial("ABORT")
 	if m.seqLoops {
 		m.aborts++
 		m.inParallel = false
@@ -449,7 +421,6 @@ func (tu *threadUnit) nextWake(cycle uint64) uint64 {
 
 // OnHalt stops the machine.
 func (tu *threadUnit) OnHalt(cycle uint64) {
-	tu.m.assertSerial("HALT")
 	tu.halted = true
 	tu.m.halted = true
 	tu.m.emit(tu.id, trace.Halt, 0)

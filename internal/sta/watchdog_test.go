@@ -182,6 +182,41 @@ func TestChaosLivelockInjection(t *testing.T) {
 	}
 }
 
+// TestChaosDeterministic pins that chaos injection is a pure function of
+// the seed: every core draws from its own forked stream and machine-level
+// points from the root one, so the same configuration faults at the same
+// cycle with the same classification on every run, in both stepping modes.
+func TestChaosDeterministic(t *testing.T) {
+	p := scaleLoop(t, 48)
+	for _, ccfg := range []chaos.Config{
+		{Seed: 7, CorePanic: 2e-3},
+		{Seed: 11, MachinePanic: 1e-3},
+	} {
+		for _, skip := range []bool{false, true} {
+			var ref *simerr.Error
+			for run := 0; run < 2; run++ {
+				m, err := New(cfgTU(8), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.DisableSkip = !skip
+				m.Chaos = chaos.New(ccfg, "chaos-determinism")
+				_, err = m.Run()
+				var se *simerr.Error
+				if !errorsAs(err, &se) {
+					t.Fatalf("%+v skip=%v: want a *simerr.Error, got %v", ccfg, skip, err)
+				}
+				if ref == nil {
+					ref = se
+				} else if se.Kind != ref.Kind || se.Cycle != ref.Cycle {
+					t.Errorf("%+v skip=%v: rerun fired (%v, cycle %d); first run fired (%v, cycle %d)",
+						ccfg, skip, se.Kind, se.Cycle, ref.Kind, ref.Cycle)
+				}
+			}
+		}
+	}
+}
+
 // TestChaosOffBitIdentical asserts that attaching a zero-probability chaos
 // injector perturbs nothing: stats, architectural state, and cycle counts
 // stay bit-identical to an uninstrumented run.

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/attrib"
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -49,9 +48,6 @@ func TestWgenDifferentialSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("genome %d %s: %v", i, g.Canonical(), err)
 		}
-		if i%5 == 4 {
-			m.Workers = 4
-		}
 		r, err := m.Run()
 		if err != nil {
 			t.Fatalf("genome %d %s: %v", i, g.Canonical(), err)
@@ -73,9 +69,9 @@ func TestWgenDifferentialSoak(t *testing.T) {
 
 // TestWgenCoverageSignalDeterministic pins the coverage signal: for a
 // fixed genome, the behavior signature extracted from the counter and
-// attribution registries must be identical across {seq,par4} stepping ×
-// {stepped,skip} clocking — the signal depends on what the machine did,
-// never on how it was stepped. A nondeterministic signal would make the
+// attribution registries must be identical whether idle spans are stepped
+// or skipped — the signal depends on what the machine did, never on how it
+// was stepped. A nondeterministic signal would make the
 // coverage-guided search's trajectory (and the soak-smoke monotonicity
 // assertion) irreproducible.
 func TestWgenCoverageSignalDeterministic(t *testing.T) {
@@ -89,41 +85,18 @@ func TestWgenCoverageSignalDeterministic(t *testing.T) {
 	cfg.Core.WrongPathExec = true
 	cfg.Mem.Side = mem.SideWEC
 	var ref []string
-	for _, mode := range []parModeSpec{{name: "seq", disable: true}, {name: "par4", workers: 4}} {
-		for _, skip := range []bool{true, false} {
-			out := runParMode(t, cfg, p, mode, skip, true)
-			rep := attribReport(t, cfg, p, mode, skip)
-			sig := wgen.Buckets(&out.res.Stats, rep)
-			if len(sig) == 0 {
-				t.Fatalf("%s skip=%v: empty behavior signature", mode.name, skip)
-			}
-			if ref == nil {
-				ref = sig
-			} else if !reflect.DeepEqual(ref, sig) {
-				t.Errorf("%s skip=%v: signature diverges\nref: %v\ngot: %v", mode.name, skip, ref, sig)
-			}
+	for _, skip := range []bool{true, false} {
+		out := runMode(t, cfg, p, skip, 500, true)
+		sig := wgen.Buckets(&out.res.Stats, out.rep)
+		if len(sig) == 0 {
+			t.Fatalf("skip=%v: empty behavior signature", skip)
+		}
+		if ref == nil {
+			ref = sig
+		} else if !reflect.DeepEqual(ref, sig) {
+			t.Errorf("skip=%v: signature diverges\nref: %v\ngot: %v", skip, ref, sig)
 		}
 	}
-}
-
-// attribReport reruns prog in one mode with only attribution attached and
-// returns the sealed report (runParMode keeps its collector private).
-func attribReport(t *testing.T, cfg Config, p *isa.Program, mode parModeSpec, skip bool) *attrib.Report {
-	t.Helper()
-	m, err := New(cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Workers = mode.workers
-	m.DisableParallel = mode.disable
-	m.DisableSkip = !skip
-	ac := attrib.NewCollector()
-	m.Attrib = ac
-	r, err := m.Run()
-	if err != nil {
-		t.Fatalf("%s: %v", mode.name, err)
-	}
-	return ac.Report(r.Stats.Cycles)
 }
 
 // TestWgenWorkloadExercisesSpeculation guards the generator's value to the

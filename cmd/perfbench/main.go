@@ -35,37 +35,11 @@ import (
 	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/metrics"
+	"repro/internal/runstore"
 	"repro/internal/sample"
 	"repro/internal/sta"
 	"repro/internal/workload"
 )
-
-// Entry is one benchmark's measurement.
-type Entry struct {
-	Name            string  `json:"name"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	BytesPerOp      int64   `json:"bytes_per_op"`
-	SimCyclesPerOp  float64 `json:"sim_cycles_per_op"`
-	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
-	Runs            int     `json:"runs"`
-}
-
-// Report is the BENCH_speed.json document.
-type Report struct {
-	Generated string `json:"generated"`
-	GoVersion string `json:"go_version"`
-	HostCPUs  int    `json:"host_cpus"`
-	// GoMaxProcs is the CPU budget the measurements ran under (the
-	// ambient default; perfbench never pins it).
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Results    []Entry `json:"results"`
-	// SuiteWallSeconds is the wall time of one full `experiments -run all`
-	// regeneration at scale 1 (only measured with -suite). The pre-overhaul
-	// simulator took 116.8s on the development host; the committed baseline
-	// records the post-overhaul time for the same machine.
-	SuiteWallSeconds float64 `json:"suite_wall_seconds,omitempty"`
-}
 
 // scenario names one (benchmark, configuration) simulation to measure.
 type scenario struct {
@@ -126,23 +100,23 @@ func scenarios() []scenario {
 }
 
 // measure runs one scenario under testing.Benchmark.
-func measure(sc scenario) (Entry, error) {
+func measure(sc scenario) (runstore.PerfEntry, error) {
 	w, err := workload.ByName(sc.bench)
 	if err != nil {
-		return Entry{}, err
+		return runstore.PerfEntry{}, err
 	}
 	prog, err := w.Build(1)
 	if err != nil {
-		return Entry{}, err
+		return runstore.PerfEntry{}, err
 	}
 	cfg := config.Main(sc.tus)
 	if err := config.Apply(sc.cfgName, &cfg); err != nil {
-		return Entry{}, err
+		return runstore.PerfEntry{}, err
 	}
 	return run(sc, cfg, prog)
 }
 
-func run(sc scenario, cfg sta.Config, prog *isa.Program) (Entry, error) {
+func run(sc scenario, cfg sta.Config, prog *isa.Program) (runstore.PerfEntry, error) {
 	var cycles uint64
 	var failure error
 	res := testing.Benchmark(func(b *testing.B) {
@@ -172,10 +146,10 @@ func run(sc scenario, cfg sta.Config, prog *isa.Program) (Entry, error) {
 		}
 	})
 	if failure != nil {
-		return Entry{}, fmt.Errorf("%s: %w", sc.name, failure)
+		return runstore.PerfEntry{}, fmt.Errorf("%s: %w", sc.name, failure)
 	}
 	perOp := float64(cycles) / float64(res.N)
-	return Entry{
+	return runstore.PerfEntry{
 		Name:            sc.name,
 		NsPerOp:         float64(res.NsPerOp()),
 		AllocsPerOp:     res.AllocsPerOp(),
@@ -190,7 +164,7 @@ func run(sc scenario, cfg sta.Config, prog *isa.Program) (Entry, error) {
 // sequential ALU loop on one TU keeps the pipeline busy every cycle, so
 // cycles/s here is the simulator's core-loop throughput with no memory
 // system or threading activity in the way.
-func microbench() (Entry, error) {
+func microbench() (runstore.PerfEntry, error) {
 	b := asm.New()
 	b.Li(1, 0)
 	b.Li(2, 100_000)
@@ -204,52 +178,11 @@ func microbench() (Entry, error) {
 	b.Halt()
 	prog, err := b.Build()
 	if err != nil {
-		return Entry{}, err
+		return runstore.PerfEntry{}, err
 	}
 	cfg := config.Main(1)
 	cfg.MaxCycles = 100_000_000
 	return run(scenario{name: "micro/cycle-loop/1tu"}, cfg, prog)
-}
-
-func load(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// compare reports regressions of cur against base beyond tol. Allocations
-// and simulated cycle counts are deterministic, so they are always gated;
-// wall time only when strict is set.
-func compare(base, cur *Report, tol float64, strict bool) []string {
-	byName := make(map[string]Entry, len(base.Results))
-	for _, e := range base.Results {
-		byName[e.Name] = e
-	}
-	var bad []string
-	for _, e := range cur.Results {
-		b, ok := byName[e.Name]
-		if !ok {
-			continue
-		}
-		worse := func(metric string, now, then float64) {
-			if then > 0 && now > then*(1+tol) {
-				bad = append(bad, fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f)",
-					e.Name, metric, (now/then-1)*100, then, now))
-			}
-		}
-		worse("allocs/op", float64(e.AllocsPerOp), float64(b.AllocsPerOp))
-		worse("sim-cycles/op", e.SimCyclesPerOp, b.SimCyclesPerOp)
-		if strict {
-			worse("ns/op", e.NsPerOp, b.NsPerOp)
-		}
-	}
-	return bad
 }
 
 func main() {
@@ -261,7 +194,7 @@ func main() {
 	history := flag.String("history", "perf/history", "also append a timestamped snapshot of the report into this directory (\"\" disables); simql diff -perf and simql report read the trend from here")
 	flag.Parse()
 
-	rep := &Report{
+	rep := &runstore.PerfReport{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		HostCPUs:   runtime.NumCPU(),
@@ -335,21 +268,15 @@ func main() {
 	}
 
 	if *check != "" {
-		base, err := load(*check)
+		base, _, err := runstore.LoadPerf(*check)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)
 			os.Exit(1)
 		}
-		if base.HostCPUs != 0 && base.HostCPUs != rep.HostCPUs {
-			// A different core count alone doesn't invalidate the gated
-			// deterministic metrics, but it does shift wall-clock numbers,
-			// so flag it for anyone reading ns/op deltas.
-			fmt.Fprintf(os.Stderr,
-				"perfbench: warning: baseline %s was measured on a %d-CPU host, this one has %d; "+
-					"wall-clock (ns/op) comparisons are indicative only\n",
-				*check, base.HostCPUs, rep.HostCPUs)
+		if w := runstore.PerfHostWarning(base, rep); w != "" {
+			fmt.Fprintln(os.Stderr, "perfbench:", w)
 		}
-		if bad := compare(base, rep, *tol, *strict); len(bad) > 0 {
+		if bad := runstore.ComparePerf(base, rep, *tol, *strict); len(bad) > 0 {
 			for _, line := range bad {
 				fmt.Fprintln(os.Stderr, "REGRESSION:", line)
 			}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/runstore"
 )
@@ -93,99 +91,43 @@ func cmdDiff(args []string) int {
 	return 0
 }
 
-// perfReport mirrors cmd/perfbench's report schema (kept in sync by the
-// analytics smoke test; the fields simql needs are a stable subset).
-type perfReport struct {
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	HostCPUs   int    `json:"host_cpus"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Results    []struct {
-		Name           string  `json:"name"`
-		NsPerOp        float64 `json:"ns_per_op"`
-		AllocsPerOp    int64   `json:"allocs_per_op"`
-		SimCyclesPerOp float64 `json:"sim_cycles_per_op"`
-	} `json:"results"`
-}
-
-// loadPerf reads a perfbench report from a file, or the lexically latest
-// *.json snapshot when path is a directory (history snapshots are named by
-// UTC timestamp, so lexical order is chronological order).
-func loadPerf(path string) (*perfReport, string, error) {
-	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		glob, err := filepath.Glob(filepath.Join(path, "*.json"))
-		if err != nil || len(glob) == 0 {
-			return nil, "", fmt.Errorf("simql diff -perf: no snapshots in %s", path)
-		}
-		sort.Strings(glob)
-		path = glob[len(glob)-1]
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", err
-	}
-	var r perfReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, path, nil
-}
-
+// diffPerf compares two perf reports (files, or history directories whose
+// latest snapshot is taken) under the shared perf gate, printing each
+// entry's relative deltas.
 func diffPerf(aPath, bPath string, tol float64, strict bool) int {
-	a, aFile, err := loadPerf(aPath)
+	a, aFile, err := runstore.LoadPerf(aPath)
 	if err != nil {
 		return fail(err)
 	}
-	b, bFile, err := loadPerf(bPath)
+	b, bFile, err := runstore.LoadPerf(bPath)
 	if err != nil {
 		return fail(err)
 	}
-	if a.GoMaxProcs != 0 && b.GoMaxProcs != 0 && a.GoMaxProcs != b.GoMaxProcs {
-		fmt.Fprintf(os.Stderr, "simql diff -perf: GOMAXPROCS differ (%d vs %d); wall-clock deltas are not comparable\n",
-			a.GoMaxProcs, b.GoMaxProcs)
-		if strict {
-			return 1
+	if w := runstore.PerfHostWarning(a, b); w != "" {
+		fmt.Fprintln(os.Stderr, "simql diff -perf:", w)
+	}
+	byName := make(map[string]runstore.PerfEntry, len(a.Results))
+	for _, e := range a.Results {
+		byName[e.Name] = e
+	}
+	rel := func(now, then float64) float64 {
+		if then == 0 {
+			return 0
 		}
-	}
-	if a.HostCPUs != 0 && b.HostCPUs != 0 && a.HostCPUs != b.HostCPUs {
-		fmt.Fprintf(os.Stderr, "simql diff -perf: warning: host CPU counts differ (%d vs %d); ns/op deltas are indicative only\n",
-			a.HostCPUs, b.HostCPUs)
-	}
-	byName := make(map[string]int, len(a.Results))
-	for i, e := range a.Results {
-		byName[e.Name] = i
+		return now/then - 1
 	}
 	fmt.Printf("perf diff: %s (%s) -> %s (%s)\n\n", aFile, a.Generated, bFile, b.Generated)
-	var bad []string
 	for _, e := range b.Results {
-		i, ok := byName[e.Name]
+		base, ok := byName[e.Name]
 		if !ok {
 			continue
-		}
-		base := a.Results[i]
-		rel := func(now, then float64) float64 {
-			if then == 0 {
-				return 0
-			}
-			return now/then - 1
-		}
-		gate := func(metric string, now, then float64) {
-			if then > 0 && now > then*(1+tol) {
-				bad = append(bad, fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f)",
-					e.Name, metric, rel(now, then)*100, then, now))
-			}
-		}
-		gate("allocs/op", float64(e.AllocsPerOp), float64(base.AllocsPerOp))
-		gate("sim-cycles/op", e.SimCyclesPerOp, base.SimCyclesPerOp)
-		if strict {
-			gate("ns/op", e.NsPerOp, base.NsPerOp)
 		}
 		fmt.Printf("%-36s ns/op %+7.1f%%  allocs/op %+7.1f%%  sim-cycles/op %+7.1f%%\n",
 			e.Name, rel(e.NsPerOp, base.NsPerOp)*100,
 			rel(float64(e.AllocsPerOp), float64(base.AllocsPerOp))*100,
 			rel(e.SimCyclesPerOp, base.SimCyclesPerOp)*100)
 	}
-	if len(bad) > 0 {
+	if bad := runstore.ComparePerf(a, b, tol, strict); len(bad) > 0 {
 		fmt.Fprintln(os.Stderr)
 		for _, line := range bad {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", line)

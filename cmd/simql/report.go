@@ -283,7 +283,7 @@ func perfTrendChart(dir string) (chart, bool) {
 	}
 	var snaps []snap
 	for _, path := range glob {
-		rep, _, err := loadPerf(path)
+		rep, _, err := runstore.LoadPerf(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "simql report: skipping unreadable snapshot %s: %v\n", path, err)
 			continue

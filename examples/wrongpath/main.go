@@ -19,6 +19,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sta"
 	"repro/internal/stats"
+	"repro/internal/xorshift"
 )
 
 // build returns a single-threaded loop whose hammock direction is decided
@@ -42,9 +43,7 @@ func build() *asm.Builder {
 		b.InitWord(tb+uint64(64*i)+8, int64(5*i+1))
 	}
 	for i := 0; i < n; i++ {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
+		seed = xorshift.Next(seed)
 		b.InitWord(ctl+uint64(8*i), int64(seed&1))
 	}
 	b.Li(1, 0) // i

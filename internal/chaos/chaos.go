@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"repro/internal/xorshift"
 )
 
 // Point identifies one injection site in the simulator.
@@ -241,10 +243,7 @@ func (in *Injector) Hit(p Point) bool {
 	if in == nil || in.thresholds[p] == 0 {
 		return false
 	}
-	s := in.states[p]
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
+	s := xorshift.Next(in.states[p])
 	in.states[p] = s
 	hit := s < in.thresholds[p]
 	if hit && in.Hook != nil {

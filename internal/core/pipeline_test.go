@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 func TestFPPipelineMatchesInterp(t *testing.T) {
@@ -159,9 +160,7 @@ func TestNestedMispredictRecovery(t *testing.T) {
 	a := b.Alloc("bits", 8*128, 0)
 	seed := uint64(12345)
 	for i := 0; i < 128; i++ {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
+		seed = xorshift.Next(seed)
 		b.InitWord(a+uint64(8*i), int64(seed&3))
 	}
 	b.Li(1, 0)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/config"
-	"repro/internal/simerr"
 	"repro/internal/sta"
 	"repro/internal/stats"
 )
@@ -49,15 +48,12 @@ func table3(r *Runner) (*stats.Table, error) {
 // single-issue baseline, measured over parallel-region cycles only.
 func fig8(r *Runner) (*stats.Table, error) {
 	rows := config.Table3Rows()
-	base := rows[0].Machine()
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, base})
-		for _, row := range rows[1:] {
-			jobs = append(jobs, job{b.Short, row.Machine()})
-		}
+	machines := make([]sta.Config, len(rows))
+	for i, row := range rows {
+		machines[i] = row.Machine()
 	}
-	if err := r.batch(jobs); err != nil {
+	g, err := r.runGrid(new(cfgset), machines)
+	if err != nil {
 		return nil, err
 	}
 	hdr := []string{"Benchmark"}
@@ -67,17 +63,10 @@ func fig8(r *Runner) (*stats.Table, error) {
 	t := &stats.Table{Header: hdr}
 	perCol := make([][]float64, len(rows)-1)
 	for _, b := range Benches() {
-		bres, err := r.Result(b.Short, base)
-		if err != nil {
-			return nil, err
-		}
+		base := g.at(b.Short, machines[0])
 		cells := []string{b.Short}
-		for i, row := range rows[1:] {
-			res, err := r.Result(b.Short, row.Machine())
-			if err != nil {
-				return nil, err
-			}
-			sp := stats.Speedup(bres.Stats.ParCycles, res.Stats.ParCycles)
+		for i, m := range machines[1:] {
+			sp := stats.Speedup(base.Stats.ParCycles, g.at(b.Short, m).Stats.ParCycles)
 			perCol[i] = append(perCol[i], sp)
 			cells = append(cells, fmt.Sprintf("%.2fx", sp))
 		}
@@ -97,185 +86,56 @@ var tuSweep = []int{1, 2, 4, 8, 16}
 // 1-16 TUs against the single-TU orig machine.
 func fig9(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	mk := cs.main
-	var jobs []job
-	for _, b := range Benches() {
-		for _, n := range tuSweep {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, n)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, n)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
-	for _, n := range tuSweep[1:] {
-		hdr = append(hdr, fmt.Sprintf("orig %dTU", n))
-	}
+	base := cs.main(config.Orig, 1)
+	var orig, wec []benchCol
+	var order []sta.Config // the sweep runs orig and wth-wp-wec side by side
 	for _, n := range tuSweep {
-		hdr = append(hdr, fmt.Sprintf("wec %dTU", n))
+		o, w := cs.main(config.Orig, n), cs.main(config.WTHWPWEC, n)
+		order = append(order, o, w)
+		if n > 1 {
+			orig = append(orig, benchCol{fmt.Sprintf("orig %dTU", n), base, o})
+		}
+		wec = append(wec, benchCol{fmt.Sprintf("wec %dTU", n), base, w})
 	}
-	t := &stats.Table{Header: hdr}
-	for _, b := range Benches() {
-		baseRes, err := r.Result(b.Short, mk(config.Orig, 1))
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{b.Short}
-		for _, n := range tuSweep[1:] {
-			res, err := r.Result(b.Short, mk(config.Orig, n))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(baseRes.Stats.Cycles, res.Stats.Cycles)))
-		}
-		for _, n := range tuSweep {
-			res, err := r.Result(b.Short, mk(config.WTHWPWEC, n))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(baseRes.Stats.Cycles, res.Stats.Cycles)))
-		}
-		t.AddRow(cells...)
-	}
-	return t, nil
+	return benchTable(r, cs, append(orig, wec...), false, order...)
 }
 
 // fig10 reports the wth-wp-wec speedup over the orig machine with the same
 // thread-unit count.
 func fig10(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	mk := cs.main
-	var jobs []job
-	for _, b := range Benches() {
-		for _, n := range tuSweep {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, n)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, n)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
+	var cols []benchCol
 	for _, n := range tuSweep {
-		hdr = append(hdr, fmt.Sprintf("%dTU", n))
+		cols = append(cols, benchCol{fmt.Sprintf("%dTU", n), cs.main(config.Orig, n), cs.main(config.WTHWPWEC, n)})
 	}
-	t := &stats.Table{Header: hdr}
-	perCol := make([][]float64, len(tuSweep))
-	for _, b := range Benches() {
-		cells := []string{b.Short}
-		for i, n := range tuSweep {
-			or, err := r.Result(b.Short, mk(config.Orig, n))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, n))
-			if err != nil {
-				return nil, err
-			}
-			perCol[i] = append(perCol[i], stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"average"}
-	for _, col := range perCol {
-		avg = append(avg, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-	}
-	t.AddRow(avg...)
-	return t, nil
-}
-
-// cfgset builds the machine configurations one experiment sweeps over,
-// accumulating the first construction error instead of panicking; the
-// experiment checks Err once after assembling its job list, before any
-// simulation runs.
-type cfgset struct{ err error }
-
-func (cs *cfgset) note(err error) {
-	if cs.err == nil && err != nil {
-		cs.err = err
-	}
-}
-
-// Err returns the first configuration-construction error, classified into
-// the taxonomy.
-func (cs *cfgset) Err() error {
-	if cs.err == nil {
-		return nil
-	}
-	return simerr.Classify("harness.config", cs.err, simerr.BadProgram)
-}
-
-// main builds the main machine with tus thread units in the named
-// configuration.
-func (cs *cfgset) main(name config.Name, tus int) sta.Config {
-	cfg := config.Main(tus)
-	cs.note(config.Apply(name, &cfg))
-	return cfg
-}
-
-// at8 builds an 8-TU machine in the named configuration, applying mut to
-// the base machine first.
-func (cs *cfgset) at8(name config.Name, mut func(*sta.Config)) sta.Config {
-	cfg := config.Main(8)
-	if mut != nil {
-		mut(&cfg)
-	}
-	cs.note(config.Apply(name, &cfg))
-	return cfg
+	return benchTable(r, cs, cols, true)
 }
 
 // fig11 compares all configurations at 8 TUs against orig.
 func fig11(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	names := config.Names()
-	var jobs []job
-	for _, b := range Benches() {
+	orig := cs.at8(config.Orig, nil)
+	var cols []benchCol
+	for _, n := range config.Names()[1:] {
+		cols = append(cols, benchCol{string(n), orig, cs.at8(n, nil)})
+	}
+	return benchTable(r, cs, cols, true)
+}
+
+// sweepAgainstOrig builds the rows of a speedup table over one swept 8-TU
+// machine parameter: for each value, each named configuration against
+// orig at the same value, labelled by label(name, value).
+func sweepAgainstOrig[V any](cs *cfgset, vals []V, names []config.Name,
+	set func(*sta.Config, V), label func(config.Name, V) string) []speedupRow {
+	var rows []speedupRow
+	for _, v := range vals {
+		mut := func(c *sta.Config) { set(c, v) }
+		orig := cs.at8(config.Orig, mut)
 		for _, n := range names {
-			jobs = append(jobs, job{b.Short, cs.at8(n, nil)})
+			rows = append(rows, speedupRow{label(n, v), orig, cs.at8(n, mut)})
 		}
 	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Benchmark"}
-	for _, n := range names[1:] {
-		hdr = append(hdr, string(n))
-	}
-	t := &stats.Table{Header: hdr}
-	perCol := make([][]float64, len(names)-1)
-	for _, b := range Benches() {
-		or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{b.Short}
-		for i, n := range names[1:] {
-			res, err := r.Result(b.Short, cs.at8(n, nil))
-			if err != nil {
-				return nil, err
-			}
-			perCol[i] = append(perCol[i], stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"average"}
-	for _, col := range perCol {
-		avg = append(avg, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-	}
-	t.AddRow(avg...)
-	return t, nil
+	return rows
 }
 
 // fig12 sweeps L1 associativity (direct-mapped vs 4-way) for the victim
@@ -283,198 +143,38 @@ func fig11(r *Runner) (*stats.Table, error) {
 // associativity.
 func fig12(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	assocs := []int{1, 4}
-	names := []config.Name{config.VC, config.WTHWPVC, config.WTHWPWEC}
-	mkA := func(name config.Name, assoc int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L1DAssoc = assoc })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, a := range assocs {
-			jobs = append(jobs, job{b.Short, mkA(config.Orig, a)})
-			for _, n := range names {
-				jobs = append(jobs, job{b.Short, mkA(n, a)})
-			}
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, a := range assocs {
-		for _, n := range names {
-			cells := []string{fmt.Sprintf("%dway %s", a, n)}
-			var col []float64
-			for _, b := range Benches() {
-				or, err := r.Result(b.Short, mkA(config.Orig, a))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkA(n, a))
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-				cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
-			}
-			cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-			t.AddRow(cells...)
-		}
-	}
-	return t, nil
+	rows := sweepAgainstOrig(cs, []int{1, 4},
+		[]config.Name{config.VC, config.WTHWPVC, config.WTHWPWEC},
+		func(c *sta.Config, a int) { c.Mem.L1DAssoc = a },
+		func(n config.Name, a int) string { return fmt.Sprintf("%dway %s", a, n) })
+	return speedupTable(r, cs, "Config", rows, false)
 }
 
 // fig13 sweeps the L1 data cache size, reporting execution time normalized
 // to orig with the smallest L1.
 func fig13(r *Runner) (*stats.Table, error) {
-	cs := new(cfgset)
-	sizes := []int{4, 8, 16, 32} // KB
-	mkS := func(name config.Name, kb int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L1DSize = kb * 1024 })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, kb := range sizes {
-			jobs = append(jobs, job{b.Short, mkS(config.Orig, kb)})
-			jobs = append(jobs, job{b.Short, mkS(config.WTHWPWEC, kb)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	t := &stats.Table{Header: hdr}
-	for _, name := range []config.Name{config.Orig, config.WTHWPWEC} {
-		for _, kb := range sizes {
-			cells := []string{fmt.Sprintf("%s %dk", name, kb)}
-			for _, b := range Benches() {
-				base, err := r.Result(b.Short, mkS(config.Orig, sizes[0]))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkS(name, kb))
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, fmt.Sprintf("%.3f",
-					float64(res.Stats.Cycles)/float64(base.Stats.Cycles)))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, nil
+	return normalizedSweep(r, []int{4, 8, 16, 32}, func(c *sta.Config, b int) { c.Mem.L1DSize = b })
 }
 
 // fig14 sweeps the shared L2 size (the paper's 128/256/512 KB progression,
 // scaled 1:2:4 to this repo's workload footprints as 32/64/128 KB).
 func fig14(r *Runner) (*stats.Table, error) {
-	cs := new(cfgset)
-	sizes := []int{32, 64, 128} // KB
-	mkS := func(name config.Name, kb int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L2Size = kb * 1024 })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, kb := range sizes {
-			jobs = append(jobs, job{b.Short, mkS(config.Orig, kb)})
-			jobs = append(jobs, job{b.Short, mkS(config.WTHWPWEC, kb)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	t := &stats.Table{Header: hdr}
-	for _, name := range []config.Name{config.Orig, config.WTHWPWEC} {
-		for _, kb := range sizes {
-			cells := []string{fmt.Sprintf("%s %dk", name, kb)}
-			for _, b := range Benches() {
-				base, err := r.Result(b.Short, mkS(config.Orig, sizes[0]))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkS(name, kb))
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, fmt.Sprintf("%.3f",
-					float64(res.Stats.Cycles)/float64(base.Stats.Cycles)))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, nil
+	return normalizedSweep(r, []int{32, 64, 128}, func(c *sta.Config, b int) { c.Mem.L2Size = b })
 }
 
 // sweepSideSizes builds the Figure 15/16 style comparisons: relative
 // speedup over orig for each (configuration, side-buffer entries) pair.
 func sweepSideSizes(r *Runner, names []config.Name, sizes []int) (*stats.Table, error) {
 	cs := new(cfgset)
-	mkE := func(name config.Name, entries int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.SideEntries = entries })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		for _, n := range names {
-			for _, e := range sizes {
-				jobs = append(jobs, job{b.Short, mkE(n, e)})
-			}
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
+	orig := cs.at8(config.Orig, nil)
+	var rows []speedupRow
 	for _, n := range names {
 		for _, e := range sizes {
-			cells := []string{fmt.Sprintf("%s %d", n, e)}
-			var col []float64
-			for _, b := range Benches() {
-				or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-				if err != nil {
-					return nil, err
-				}
-				res, err := r.Result(b.Short, mkE(n, e))
-				if err != nil {
-					return nil, err
-				}
-				col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-				cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
-			}
-			cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-			t.AddRow(cells...)
+			cfg := cs.at8(n, func(c *sta.Config) { c.Mem.SideEntries = e })
+			rows = append(rows, speedupRow{fmt.Sprintf("%s %d", n, e), orig, cfg})
 		}
 	}
-	return t, nil
+	return speedupTable(r, cs, "Config", rows, false)
 }
 
 // fig15 compares WEC sizes against victim cache sizes (4/8/16 entries).
@@ -495,15 +195,9 @@ func fig16(r *Runner) (*stats.Table, error) {
 // reduction relative to orig.
 func fig17(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		jobs = append(jobs, job{b.Short, cs.at8(config.WTHWPWEC, nil)})
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
+	orig, wec := cs.at8(config.Orig, nil), cs.at8(config.WTHWPWEC, nil)
+	g, err := r.runGrid(cs, []sta.Config{orig, wec})
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{
@@ -511,14 +205,7 @@ func fig17(r *Runner) (*stats.Table, error) {
 	}}
 	var trafficSum, missSum float64
 	for _, b := range Benches() {
-		or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-		if err != nil {
-			return nil, err
-		}
-		we, err := r.Result(b.Short, cs.at8(config.WTHWPWEC, nil))
-		if err != nil {
-			return nil, err
-		}
+		or, we := g.at(b.Short, orig), g.at(b.Short, wec)
 		traffic := 100 * (float64(we.Stats.L1DTraffic) - float64(or.Stats.L1DTraffic)) /
 			float64(or.Stats.L1DTraffic)
 		miss := 100 * (float64(or.Stats.L1DMisses) - float64(we.Stats.L1DMisses)) /
@@ -537,56 +224,20 @@ func fig17(r *Runner) (*stats.Table, error) {
 // Each row disables one role of the full wth-wp-wec configuration.
 func ablation(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	variants := []struct {
-		name string
-		mut  func(*sta.Config)
-	}{
-		{"wth-wp-wec (full)", nil},
-		{"  -victim role", func(c *sta.Config) { c.Mem.WECNoVictim = true }},
-		{"  -next-line role", func(c *sta.Config) { c.Mem.WECNoNextLine = true }},
-		{"  -both", func(c *sta.Config) {
+	orig := cs.at8(config.Orig, nil)
+	variant := func(label string, mut func(*sta.Config)) speedupRow {
+		return speedupRow{label, orig, cs.at8(config.WTHWPWEC, mut)}
+	}
+	rows := []speedupRow{
+		variant("wth-wp-wec (full)", nil),
+		variant("  -victim role", func(c *sta.Config) { c.Mem.WECNoVictim = true }),
+		variant("  -next-line role", func(c *sta.Config) { c.Mem.WECNoNextLine = true }),
+		variant("  -both", func(c *sta.Config) {
 			c.Mem.WECNoVictim = true
 			c.Mem.WECNoNextLine = true
-		}},
+		}),
 	}
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		for _, v := range variants {
-			jobs = append(jobs, job{b.Short, cs.at8(config.WTHWPWEC, v.mut)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Config"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, v := range variants {
-		cells := []string{v.name}
-		var col []float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.Result(b.Short, cs.at8(config.WTHWPWEC, v.mut))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, res.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, res.Stats.Cycles)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	return speedupTable(r, cs, "Config", rows, false)
 }
 
 // gainDecomp decomposes where each speculative configuration's gain comes
@@ -602,35 +253,24 @@ func gainDecomp(r *Runner) (*stats.Table, error) {
 	r.Attrib = true
 	defer func() { r.Attrib, r.AttribTopN = prevOn, prevTop }()
 	names := []config.Name{config.WTHWP, config.NLP, config.VC, config.WTHWPWEC}
-	var jobs []job
-	for _, b := range Benches() {
-		jobs = append(jobs, job{b.Short, cs.at8(config.Orig, nil)})
-		for _, n := range names {
-			jobs = append(jobs, job{b.Short, cs.at8(n, nil)})
-		}
+	cfgs := []sta.Config{cs.at8(config.Orig, nil)}
+	for _, n := range names {
+		cfgs = append(cfgs, cs.at8(n, nil))
 	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
+	g, err := r.runGrid(cs, cfgs)
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{Header: []string{
 		"Config", "speedup", "spec fills", "useful", "late", "useless", "polluting", "victim hits",
 	}}
-	for _, n := range names {
+	for i, n := range names {
+		cfg := cfgs[i+1]
 		var col []float64
 		var spec, useful, late, useless, polluting, victims uint64
 		for _, b := range Benches() {
-			or, err := r.Result(b.Short, cs.at8(config.Orig, nil))
-			if err != nil {
-				return nil, err
-			}
-			res, err := r.Result(b.Short, cs.at8(n, nil))
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.AttribReport(b.Short, cs.at8(n, nil))
+			or, res := g.at(b.Short, cfgs[0]), g.at(b.Short, cfg)
+			rep, err := r.AttribReport(b.Short, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -648,8 +288,7 @@ func gainDecomp(r *Runner) (*stats.Table, error) {
 			}
 			return fmt.Sprintf("%d (%.0f%%)", n, 100*float64(n)/float64(spec))
 		}
-		t.AddRow(string(n),
-			stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100),
+		t.AddRow(string(n), avgPct(col),
 			fmt.Sprint(spec), frac(useful), frac(late), frac(useless),
 			fmt.Sprint(polluting), fmt.Sprint(victims))
 	}
@@ -681,147 +320,32 @@ func table1(r *Runner) (*stats.Table, error) {
 // hide, so the WEC's edge should grow.
 func extLatency(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	lats := []int{100, 200, 400}
-	mk := func(name config.Name, lat int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.MemLat = lat })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, lat := range lats {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, lat)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, lat)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Latency"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, lat := range lats {
-		cells := []string{fmt.Sprintf("%d cycles", lat)}
-		var col []float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, mk(config.Orig, lat))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, lat))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	rows := sweepAgainstOrig(cs, []int{100, 200, 400}, []config.Name{config.WTHWPWEC},
+		func(c *sta.Config, lat int) { c.Mem.MemLat = lat },
+		func(_ config.Name, lat int) string { return fmt.Sprintf("%d cycles", lat) })
+	return speedupTable(r, cs, "Latency", rows, false)
 }
 
 // extBlockSize is the paper's §7 future-work item "the effects of the
 // block size": WEC speedup with 32/64/128-byte L1 blocks.
 func extBlockSize(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
-	sizes := []int{32, 64, 128}
-	mk := func(name config.Name, bs int) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Mem.L1DBlock = bs })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, bs := range sizes {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, bs)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, bs)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Block"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average")
-	t := &stats.Table{Header: hdr}
-	for _, bs := range sizes {
-		cells := []string{fmt.Sprintf("%dB", bs)}
-		var col []float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, mk(config.Orig, bs))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, bs))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	rows := sweepAgainstOrig(cs, []int{32, 64, 128}, []config.Name{config.WTHWPWEC},
+		func(c *sta.Config, bs int) { c.Mem.L1DBlock = bs },
+		func(_ config.Name, bs int) string { return fmt.Sprintf("%dB", bs) })
+	return speedupTable(r, cs, "Block", rows, false)
 }
 
 // extBpred is the paper's §7 future-work item "the relationship of the
 // branch prediction accuracy to the performance of the WEC": the WEC's
 // speedup under direction predictors of increasing quality. Worse
-// prediction means more wrong-path execution to harvest.
+// prediction means more wrong-path execution to harvest. The accuracy
+// column is orig's mean direction accuracy under each predictor.
 func extBpred(r *Runner) (*stats.Table, error) {
 	cs := new(cfgset)
 	kinds := []bpred.DirKind{bpred.DirTaken, bpred.DirBimodal, bpred.DirGshare, bpred.DirComb}
-	mk := func(name config.Name, kind bpred.DirKind) sta.Config {
-		return cs.at8(name, func(c *sta.Config) { c.Core.Bpred.Dir = kind })
-	}
-	var jobs []job
-	for _, b := range Benches() {
-		for _, k := range kinds {
-			jobs = append(jobs, job{b.Short, mk(config.Orig, k)})
-			jobs = append(jobs, job{b.Short, mk(config.WTHWPWEC, k)})
-		}
-	}
-	if err := cs.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.batch(jobs); err != nil {
-		return nil, err
-	}
-	hdr := []string{"Predictor"}
-	for _, b := range Benches() {
-		hdr = append(hdr, b.Short)
-	}
-	hdr = append(hdr, "average", "accuracy")
-	t := &stats.Table{Header: hdr}
-	for _, k := range kinds {
-		cells := []string{k.String()}
-		var col []float64
-		var accSum float64
-		for _, b := range Benches() {
-			or, err := r.Result(b.Short, mk(config.Orig, k))
-			if err != nil {
-				return nil, err
-			}
-			we, err := r.Result(b.Short, mk(config.WTHWPWEC, k))
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, stats.Speedup(or.Stats.Cycles, we.Stats.Cycles))
-			accSum += or.Stats.BranchAccuracy()
-			cells = append(cells, stats.Pct(stats.RelativeSpeedupPct(or.Stats.Cycles, we.Stats.Cycles)))
-		}
-		cells = append(cells, stats.Pct((stats.WeightedAverageSpeedup(col)-1)*100))
-		cells = append(cells, fmt.Sprintf("%.1f%%", 100*accSum/float64(len(Benches()))))
-		t.AddRow(cells...)
-	}
-	return t, nil
+	rows := sweepAgainstOrig(cs, kinds, []config.Name{config.WTHWPWEC},
+		func(c *sta.Config, k bpred.DirKind) { c.Core.Bpred.Dir = k },
+		func(_ config.Name, k bpred.DirKind) string { return k.String() })
+	return speedupTable(r, cs, "Predictor", rows, true)
 }

@@ -29,7 +29,7 @@ type Timeline struct {
 	// Dropped counts events discarded after MaxEvents was reached.
 	Dropped uint64
 
-	events []traceEvent
+	events []TraceEvent
 	tus    map[int]*tuTimeline
 	maxTU  int
 }
@@ -48,19 +48,31 @@ type tuTimeline struct {
 	seqStart   uint64
 }
 
-// traceEvent is one Chrome trace-event object. Fields follow the Trace
+// TraceEvent is one Chrome trace-event object, the record both the cycle
+// timeline and the telemetry span converter emit. Fields follow the Trace
 // Event Format: ph "X" = complete span (ts+dur), "i" = instant, "M" =
-// metadata.
-type traceEvent struct {
+// metadata. Ts and Dur are trace microseconds in the producer's clock.
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   uint64         `json:"ts"`
 	Dur  uint64         `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
+	Tid  uint64         `json:"tid"`
 	Cat  string         `json:"cat,omitempty"`
 	S    string         `json:"s,omitempty"` // instant scope: "t" = thread
 	Args map[string]any `json:"args,omitempty"`
+}
+
+// WriteTrace writes events as one Chrome trace-event JSON document
+// (loadable in Perfetto or chrome://tracing), with metadata attached when
+// non-empty.
+func WriteTrace(w io.Writer, events []TraceEvent, metadata map[string]any) error {
+	return json.NewEncoder(w).Encode(struct {
+		DisplayTimeUnit string         `json:"displayTimeUnit"`
+		TraceEvents     []TraceEvent   `json:"traceEvents"`
+		Metadata        map[string]any `json:"metadata,omitempty"`
+	}{"ms", events, metadata})
 }
 
 // NewTimeline returns an empty timeline. TU 0 starts with an open
@@ -85,10 +97,10 @@ func (t *Timeline) tu(id int) *tuTimeline {
 }
 
 // pipeTID and memTID map a thread unit to its two timeline tracks.
-func pipeTID(tu int) int { return tu * 2 }
-func memTID(tu int) int  { return tu*2 + 1 }
+func pipeTID(tu int) uint64 { return uint64(tu) * 2 }
+func memTID(tu int) uint64  { return uint64(tu)*2 + 1 }
 
-func (t *Timeline) add(e traceEvent) {
+func (t *Timeline) add(e TraceEvent) {
 	max := t.MaxEvents
 	if max <= 0 {
 		max = DefaultMaxEvents
@@ -100,15 +112,15 @@ func (t *Timeline) add(e traceEvent) {
 	t.events = append(t.events, e)
 }
 
-func (t *Timeline) span(tid int, name, cat string, start, end uint64) {
+func (t *Timeline) span(tid uint64, name, cat string, start, end uint64) {
 	if end <= start {
 		return
 	}
-	t.add(traceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: tid, Cat: cat})
+	t.add(TraceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: tid, Cat: cat})
 }
 
 func (t *Timeline) instant(tu int, name string, cycle uint64, args map[string]any) {
-	t.add(traceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: pipeTID(tu), Cat: "lifecycle", S: "t", Args: args})
+	t.add(TraceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: pipeTID(tu), Cat: "lifecycle", S: "t", Args: args})
 }
 
 // closeStage emits the in-flight stage span (if any) ending at cycle.
@@ -199,7 +211,7 @@ func (t *Timeline) MemSpan(tu int, start, end uint64, wrong bool, pc int) {
 	if end <= start {
 		return
 	}
-	e := traceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: memTID(tu), Cat: "mem"}
+	e := TraceEvent{Name: name, Ph: "X", Ts: start, Dur: end - start, Pid: 0, Tid: memTID(tu), Cat: "mem"}
 	if pc >= 0 {
 		e.Args = map[string]any{"pc": pc}
 	}
@@ -210,7 +222,7 @@ func (t *Timeline) MemSpan(tu int, start, end uint64, wrong bool, pc int) {
 // as an instant on the thread unit's memory track.
 func (t *Timeline) AttribInstant(tu int, name string, cycle uint64, args map[string]any) {
 	t.tu(tu)
-	t.add(traceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: memTID(tu), Cat: "attrib", S: "t", Args: args})
+	t.add(TraceEvent{Name: name, Ph: "i", Ts: cycle, Pid: 0, Tid: memTID(tu), Cat: "attrib", S: "t", Args: args})
 }
 
 // Finish closes every open span at the given end cycle (wrong threads can
@@ -229,39 +241,31 @@ func (t *Timeline) Finish(cycle uint64) {
 	}
 }
 
-// traceFile is the Chrome trace-event JSON envelope.
-type traceFile struct {
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent   `json:"traceEvents"`
-	Metadata        map[string]any `json:"metadata,omitempty"`
-}
-
 // WriteJSON writes the timeline as Chrome trace-event JSON. Track-name
 // metadata is emitted for every thread unit seen, in TU order, followed by
 // the recorded events in emission order.
 func (t *Timeline) WriteJSON(w io.Writer) error {
-	f := traceFile{DisplayTimeUnit: "ms"}
-	f.TraceEvents = append(f.TraceEvents, traceEvent{
+	events := []TraceEvent{{
 		Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": "sta machine (1 cycle = 1us)"},
-	})
+	}}
 	for tu := 0; tu <= t.maxTU; tu++ {
 		if _, ok := t.tus[tu]; !ok {
 			continue
 		}
-		f.TraceEvents = append(f.TraceEvents,
-			traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: pipeTID(tu),
+		events = append(events,
+			TraceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: pipeTID(tu),
 				Args: map[string]any{"name": tuLabel(tu, "")}},
-			traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: memTID(tu),
+			TraceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: memTID(tu),
 				Args: map[string]any{"name": tuLabel(tu, " mem")}},
 		)
 	}
-	f.TraceEvents = append(f.TraceEvents, t.events...)
+	events = append(events, t.events...)
+	var meta map[string]any
 	if t.Dropped > 0 {
-		f.Metadata = map[string]any{"dropped_events": t.Dropped}
+		meta = map[string]any{"dropped_events": t.Dropped}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	return WriteTrace(w, events, meta)
 }
 
 // Events returns the recorded event count (tests).

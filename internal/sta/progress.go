@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // ProgressSample is one throttled observation of a running machine.
@@ -25,9 +26,8 @@ type ProgressSample struct {
 	PerTU []uint64 `json:"per_tu,omitempty"`
 }
 
-// DefaultTapRing bounds a ProgressTap's sample ring unless RingSize
-// overrides it: enough history to reconstruct the last ~30 seconds of a
-// run at the default sampling period.
+// DefaultTapRing bounds a ProgressTap's sample ring: enough history to
+// reconstruct the last ~30 seconds of a run at DefaultTapPeriod.
 const DefaultTapRing = 128
 
 // DefaultTapPeriod is the minimum wall-clock spacing of ring samples (and
@@ -39,20 +39,12 @@ const DefaultTapPeriod = 250 * time.Millisecond
 // Machine.Tap before Run. The publishing side is the simulation goroutine;
 // every reader-facing method is safe to call concurrently with the run.
 type ProgressTap struct {
-	// Period throttles ring samples and registry bridging (0 means
-	// DefaultTapPeriod). RingSize bounds the sample ring (0 means
-	// DefaultTapRing). Set before the run starts.
-	Period   time.Duration
-	RingSize int
-
 	cycle   atomic.Uint64
 	commits atomic.Uint64
 
 	mu       sync.Mutex
 	started  time.Time
-	ring     []ProgressSample
-	head     int // next write position
-	count    int
+	ring     trace.Ring[ProgressSample] // sized on the first push
 	bridge   []metrics.KV
 	lastTick time.Time
 }
@@ -74,16 +66,7 @@ func (t *ProgressTap) Started() time.Time {
 func (t *ProgressTap) Samples() []ProgressSample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]ProgressSample, 0, t.count)
-	start := t.head - t.count
-	for i := 0; i < t.count; i++ {
-		j := start + i
-		if j < 0 {
-			j += len(t.ring)
-		}
-		out = append(out, t.ring[j])
-	}
-	return out
+	return t.ring.Slice()
 }
 
 // Counters returns the latest bridged metrics-registry snapshot (nil when
@@ -103,9 +86,9 @@ func (t *ProgressTap) Counters() []metrics.KV {
 func (t *ProgressTap) Rate() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.count >= 2 {
-		newest := t.at(t.count - 1)
-		oldest := t.at(0)
+	if n := t.ring.Len(); n >= 2 {
+		newest := t.ring.At(n - 1)
+		oldest := t.ring.At(0)
 		if dt := newest.Wall.Sub(oldest.Wall).Seconds(); dt > 0 {
 			return float64(newest.Cycle-oldest.Cycle) / dt
 		}
@@ -116,37 +99,6 @@ func (t *ProgressTap) Rate() float64 {
 		}
 	}
 	return 0
-}
-
-// at returns the i-th retained sample (0 = oldest). Caller holds mu.
-func (t *ProgressTap) at(i int) ProgressSample {
-	j := t.head - t.count + i
-	if j < 0 {
-		j += len(t.ring)
-	}
-	return t.ring[j]
-}
-
-func (t *ProgressTap) period() time.Duration {
-	if t.Period > 0 {
-		return t.Period
-	}
-	return DefaultTapPeriod
-}
-
-func (t *ProgressTap) push(s ProgressSample) {
-	if t.ring == nil {
-		n := t.RingSize
-		if n <= 0 {
-			n = DefaultTapRing
-		}
-		t.ring = make([]ProgressSample, n)
-	}
-	t.ring[t.head] = s
-	t.head = (t.head + 1) % len(t.ring)
-	if t.count < len(t.ring) {
-		t.count++
-	}
 }
 
 // publishProgress pushes the machine's progress into the attached tap.
@@ -170,13 +122,16 @@ func (m *Machine) publishProgress(force bool) {
 	if t.started.IsZero() {
 		t.started = now
 	}
-	if force || now.Sub(t.lastTick) >= t.period() {
+	if force || now.Sub(t.lastTick) >= DefaultTapPeriod {
 		t.lastTick = now
 		per := make([]uint64, len(m.tus))
 		for i := range m.tus {
 			per[i] = m.tus[i].core.Stats.Commits
 		}
-		t.push(ProgressSample{Wall: now, Cycle: m.cycle, Commits: commits, PerTU: per})
+		if t.ring.Cap() == 0 {
+			t.ring = trace.NewRing[ProgressSample](DefaultTapRing)
+		}
+		t.ring.Push(ProgressSample{Wall: now, Cycle: m.cycle, Commits: commits, PerTU: per})
 		if m.Metrics != nil && m.Metrics.Registry != nil {
 			t.bridge = m.Metrics.Registry.Snapshot()
 		}

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/xorshift"
 )
 
 // Sampled is the statistical estimate attached to a sampled run's Sim.
@@ -99,7 +101,7 @@ func BootstrapCI(xs []float64, boot int, seed uint64, conf float64) (lo, hi floa
 	for i := range means {
 		var s float64
 		for j := 0; j < len(xs); j++ {
-			s += xs[xorshift(&rng)%n]
+			s += xs[rng.Uint64()%n]
 		}
 		means[i] = s / float64(len(xs))
 	}
@@ -125,7 +127,7 @@ func BootstrapRatioCI(num, den []float64, boot int, seed uint64, conf float64) (
 	n := uint64(len(num))
 	for i := range ratios {
 		for j := range idx {
-			idx[j] = int(xorshift(&rng) % n)
+			idx[j] = int(rng.Uint64() % n)
 		}
 		ratios[i] = ratioOfSums(num, den, idx)
 		if math.IsNaN(ratios[i]) || math.IsInf(ratios[i], 0) {
@@ -154,24 +156,14 @@ func ratioOfSums(num, den []float64, idx []int) float64 {
 	return sn / sd
 }
 
-func bootParams(boot int, conf float64, seed uint64) (int, float64, uint64) {
+func bootParams(boot int, conf float64, seed uint64) (int, float64, *xorshift.Rand) {
 	if boot <= 0 {
 		boot = 10000
 	}
 	if conf <= 0 || conf >= 1 {
 		conf = 0.95
 	}
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return boot, conf, seed
-}
-
-func xorshift(rng *uint64) uint64 {
-	*rng ^= *rng << 13
-	*rng ^= *rng >> 7
-	*rng ^= *rng << 17
-	return *rng
+	return boot, conf, xorshift.New(seed)
 }
 
 func percentiles(vals []float64, boot int, conf float64) (lo, hi float64) {

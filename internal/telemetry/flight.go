@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/simerr"
 	"repro/internal/sta"
+	"repro/internal/trace"
 )
 
 // DefaultFlightSpans bounds the flight recorder's span ring: enough recent
@@ -24,9 +25,7 @@ const DefaultFlightSpans = 256
 // turning a panic, deadlock, or watchdog trip into a replayable narrative.
 type Recorder struct {
 	mu      sync.Mutex
-	ring    []Span
-	head    int
-	count   int
+	ring    trace.Ring[Span]
 	dropped uint64
 }
 
@@ -34,18 +33,13 @@ func newRecorder(max int) *Recorder {
 	if max <= 0 {
 		max = DefaultFlightSpans
 	}
-	return &Recorder{ring: make([]Span, max)}
+	return &Recorder{ring: trace.NewRing[Span](max)}
 }
 
 func (f *Recorder) add(s Span) {
 	f.mu.Lock()
-	if f.count == len(f.ring) {
+	if f.ring.Push(s) {
 		f.dropped++
-	}
-	f.ring[f.head] = s
-	f.head = (f.head + 1) % len(f.ring)
-	if f.count < len(f.ring) {
-		f.count++
 	}
 	f.mu.Unlock()
 }
@@ -54,16 +48,7 @@ func (f *Recorder) add(s Span) {
 func (f *Recorder) Recent() []Span {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]Span, 0, f.count)
-	start := f.head - f.count
-	for i := 0; i < f.count; i++ {
-		j := start + i
-		if j < 0 {
-			j += len(f.ring)
-		}
-		out = append(out, f.ring[j])
-	}
-	return out
+	return f.ring.Slice()
 }
 
 // Dropped returns how many spans aged out of the ring.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simerr"
 )
 
@@ -117,20 +118,6 @@ func OutcomeOf(err error) string {
 	return simerr.KindOf(err).String()
 }
 
-// traceEvent is the Chrome trace-event JSON shape used by ConvertSpans; it
-// mirrors the (unexported) event type of internal/metrics.Timeline so the
-// rendered file loads in the same Perfetto UI next to the cycle timeline.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	Cat  string         `json:"cat,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // ConvertSpans reads span JSONL (as written to spans.jsonl) and renders a
 // Chrome trace-event / Perfetto JSON timeline: suites on track 0, each
 // cell (with its sim and retry children) on the track of its span ID, all
@@ -173,7 +160,7 @@ func ConvertSpans(in io.Reader, out io.Writer) error {
 			return s.ID
 		}
 	}
-	events := []traceEvent{{
+	events := []metrics.TraceEvent{{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "suite telemetry (run " + spans[0].Run + ")"},
 	}}
@@ -194,23 +181,12 @@ func ConvertSpans(in io.Reader, out io.Writer) error {
 		if s.Err != "" {
 			args["err"] = s.Err
 		}
-		events = append(events, traceEvent{
+		events = append(events, metrics.TraceEvent{
 			Name: s.Name, Ph: "X", Pid: 1, Tid: track(s), Cat: s.Kind,
-			Ts:   s.Start.Sub(epoch).Microseconds(),
-			Dur:  max64(1, s.End_.Sub(s.Start).Microseconds()),
+			Ts:   uint64(s.Start.Sub(epoch).Microseconds()),
+			Dur:  uint64(max(1, s.End_.Sub(s.Start).Microseconds())),
 			Args: args,
 		})
 	}
-	doc := struct {
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-		TraceEvents     []traceEvent `json:"traceEvents"`
-	}{DisplayTimeUnit: "ms", TraceEvents: events}
-	return json.NewEncoder(out).Encode(doc)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return metrics.WriteTrace(out, events, nil)
 }

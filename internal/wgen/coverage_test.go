@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attrib"
 	"repro/internal/stats"
+	"repro/internal/xorshift"
 )
 
 func TestBin(t *testing.T) {
@@ -145,7 +146,7 @@ func TestDimensionKnobsResolve(t *testing.T) {
 			changed := false
 			for attempt := uint64(0); attempt < 64 && !changed; attempt++ {
 				g := Random(1000 + attempt)
-				r := newRNG(attempt*2654435761 + 7)
+				r := xorshift.New(attempt*2654435761 + 7)
 				before := g
 				mutateKnob(&g, knob, r)
 				if g.normalize() != before {

@@ -26,6 +26,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/xorshift"
 )
 
 // Slack mirrors workload.Slack: every per-iteration array is allocated with
@@ -76,25 +78,6 @@ type Genome struct {
 	Chain     uint8 // 1 = cross-iteration dependence through TSA/TST
 }
 
-// rng is the deterministic xorshift64 stream used everywhere in wgen.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // clampRange folds v into [lo, hi]. In-range values pass through unchanged,
 // which makes normalize idempotent — required for Canonical/ParseGenome and
 // Bytes/FromBytes to round-trip exactly.
@@ -134,24 +117,24 @@ func (g Genome) normalize() Genome {
 
 // Random draws a genome uniformly over the knob space from one seed.
 func Random(seed uint64) Genome {
-	r := newRNG(seed)
+	r := xorshift.New(seed)
 	g := Genome{
-		Seed:      r.next(),
-		Windows:   uint8(r.intn(256)),
-		Window:    uint8(r.intn(256)),
-		ParPct:    uint8(r.intn(256)),
-		WSLog:     uint8(r.intn(256)),
-		Chase:     uint8(r.intn(256)),
-		Streams:   uint8(r.intn(256)),
-		StridePct: uint8(r.intn(256)),
-		IndirPct:  uint8(r.intn(256)),
-		Probes:    uint8(r.intn(256)),
-		Reduce:    uint8(r.intn(256)),
-		Scans:     uint8(r.intn(256)),
-		BranchPct: uint8(r.intn(256)),
-		StorePct:  uint8(r.intn(256)),
-		FP:        uint8(r.intn(256)),
-		Chain:     uint8(r.intn(256)),
+		Seed:      r.Uint64(),
+		Windows:   uint8(r.Intn(256)),
+		Window:    uint8(r.Intn(256)),
+		ParPct:    uint8(r.Intn(256)),
+		WSLog:     uint8(r.Intn(256)),
+		Chase:     uint8(r.Intn(256)),
+		Streams:   uint8(r.Intn(256)),
+		StridePct: uint8(r.Intn(256)),
+		IndirPct:  uint8(r.Intn(256)),
+		Probes:    uint8(r.Intn(256)),
+		Reduce:    uint8(r.Intn(256)),
+		Scans:     uint8(r.Intn(256)),
+		BranchPct: uint8(r.Intn(256)),
+		StorePct:  uint8(r.Intn(256)),
+		FP:        uint8(r.Intn(256)),
+		Chain:     uint8(r.Intn(256)),
 	}
 	return g.normalize()
 }

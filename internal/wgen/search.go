@@ -4,6 +4,7 @@ import (
 	"repro/internal/attrib"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/xorshift"
 )
 
 // RunFunc executes one generated program on the simulator and returns its
@@ -24,7 +25,7 @@ type RunFunc func(g Genome, p *isa.Program) (*stats.Sim, *attrib.Report, error)
 type Search struct {
 	Run RunFunc
 
-	rng    *rng
+	rng    *xorshift.Rand
 	cov    *Coverage
 	corpus []corpusEntry
 	steps  int
@@ -105,14 +106,14 @@ type corpusEntry struct {
 func NewSearch(seed uint64, run RunFunc) *Search {
 	s := &Search{
 		Run:      run,
-		rng:      newRNG(seed),
+		rng:      xorshift.New(seed),
 		cov:      NewCoverage(),
 		tried:    make(map[string]bool),
 		attempts: make(map[string]int),
 		wins:     make(map[string]int),
 	}
 	for i := range s.stratOff {
-		s.stratOff[i] = int(s.rng.next() >> 40)
+		s.stratOff[i] = int(s.rng.Uint64() >> 40)
 	}
 	return s
 }
@@ -150,7 +151,7 @@ func (s *Search) stratified() Genome {
 		return uint8(k.lo + (n*k.stride+s.stratOff[i])%k.span)
 	}
 	g := Genome{
-		Seed: mix64(s.rng.next()), Windows: v(0), Window: v(1), ParPct: v(2),
+		Seed: mix64(s.rng.Uint64()), Windows: v(0), Window: v(1), ParPct: v(2),
 		WSLog: v(3), Chase: v(4), Streams: v(5), StridePct: v(6), IndirPct: v(7),
 		Probes: v(8), Reduce: v(9), Scans: v(10), BranchPct: v(11), StorePct: v(12),
 		// Binary knobs would be phase-locked to each other on a stride-1
@@ -215,7 +216,7 @@ func (s *Search) Step() (StepResult, error) {
 
 // mix64 is the murmur3 finalizer. Raw rng outputs are successive states of
 // one xorshift64 orbit, and Random seeds a NEW xorshift64 with its argument
-// — so Random(rng.next()) twice in a row would walk overlapping slices of
+// — so Random(rng.Uint64()) twice in a row would walk overlapping slices of
 // the same orbit and emit near-identical knob streams. Scrambling the seed
 // through a multiply-xor mix puts every exploration draw on an unrelated
 // orbit.
@@ -237,7 +238,7 @@ func (s *Search) nextGenome() Genome {
 	var g Genome
 	for try := 0; ; try++ {
 		we, wx := s.explore.weight(180), s.exploit.weight(60)
-		if len(s.corpus) == 0 || try >= 8 || s.rng.intn(we+wx) < we {
+		if len(s.corpus) == 0 || try >= 8 || s.rng.Intn(we+wx) < we {
 			g = s.stratified()
 		} else {
 			g = s.climb()
@@ -261,15 +262,15 @@ func (s *Search) nextGenome() Genome {
 func (s *Search) climb() Genome {
 	dims := s.cov.Unsaturated()
 	if len(dims) == 0 {
-		return s.Mutate(s.corpus[s.rng.intn(len(s.corpus))].g)
+		return s.Mutate(s.corpus[s.rng.Intn(len(s.corpus))].g)
 	}
 	d := s.pickDimension(dims)
 	s.lastTarget = d.Name
 	missing := s.cov.MissingBins(d)
 	if len(missing) == 0 { // dimension saturated between listing and now
-		return s.Mutate(s.corpus[s.rng.intn(len(s.corpus))].g)
+		return s.Mutate(s.corpus[s.rng.Intn(len(s.corpus))].g)
 	}
-	target := missing[s.rng.intn(len(missing))]
+	target := missing[s.rng.Intn(len(missing))]
 	if rowName, colName, ok := comboParts(d.Name); ok {
 		if g, ok := s.crossover(rowName, colName, target); ok {
 			return g
@@ -281,15 +282,15 @@ func (s *Search) climb() Genome {
 	for _, knob := range d.Knobs {
 		if near {
 			// Adjacent behavior: small steps, and leave some knobs alone.
-			if s.rng.intn(2) == 0 {
+			if s.rng.Intn(2) == 0 {
 				nudgeKnob(&g, knob, s.rng)
 			}
 		} else {
 			mutateKnob(&g, knob, s.rng)
 		}
 	}
-	if s.rng.intn(2) == 0 {
-		g.Seed = mix64(s.rng.next())
+	if s.rng.Intn(2) == 0 {
+		g.Seed = mix64(s.rng.Uint64())
 	}
 	return g.normalize()
 }
@@ -359,14 +360,14 @@ func (s *Search) crossover(rowName, colName string, target int) (Genome, bool) {
 	}
 	if da > 0 {
 		for _, knob := range rowDim.Knobs {
-			if s.rng.intn(2) == 0 {
+			if s.rng.Intn(2) == 0 {
 				nudgeKnob(&g, knob, s.rng)
 			}
 		}
 	}
 	if db > 0 {
 		for _, knob := range colDim.Knobs {
-			if s.rng.intn(2) == 0 {
+			if s.rng.Intn(2) == 0 {
 				nudgeKnob(&g, knob, s.rng)
 			}
 		}
@@ -424,7 +425,7 @@ func (s *Search) pickDimension(dims []Dimension) Dimension {
 		weights[i] = w
 		total += w
 	}
-	pick := s.rng.intn(total)
+	pick := s.rng.Intn(total)
 	for i, w := range weights {
 		pick -= w
 		if pick < 0 {
@@ -445,16 +446,16 @@ func (s *Search) Mutate(parent Genome) Genome {
 	dims := s.cov.Unsaturated()
 	var d Dimension
 	if len(dims) > 0 {
-		d = dims[s.rng.intn(len(dims))]
+		d = dims[s.rng.Intn(len(dims))]
 	} else {
 		all := Dimensions()
-		d = all[s.rng.intn(len(all))]
+		d = all[s.rng.Intn(len(all))]
 	}
 	for _, knob := range d.Knobs {
 		mutateKnob(&g, knob, s.rng)
 	}
-	if s.rng.intn(2) == 0 {
-		g.Seed = mix64(s.rng.next())
+	if s.rng.Intn(2) == 0 {
+		g.Seed = mix64(s.rng.Uint64())
 	}
 	return g.normalize()
 }
@@ -504,10 +505,10 @@ func (s *Search) Steps() int { return s.steps }
 // range. "win" and "stream" group sub-knobs the canonical line packs
 // together, so the rng picks among them. The boolean knobs fp/chain return
 // ok=false — callers flip them directly.
-func knobField(g *Genome, knob string, r *rng) (f *uint8, lo, hi int, ok bool) {
+func knobField(g *Genome, knob string, r *xorshift.Rand) (f *uint8, lo, hi int, ok bool) {
 	switch knob {
 	case "win":
-		if r.intn(2) == 0 {
+		if r.Intn(2) == 0 {
 			return &g.Windows, minWindows, maxWindows, true
 		}
 		return &g.Window, minWindow, maxWindow, true
@@ -518,7 +519,7 @@ func knobField(g *Genome, knob string, r *rng) (f *uint8, lo, hi int, ok bool) {
 	case "chase":
 		return &g.Chase, 0, maxChase, true
 	case "stream":
-		switch r.intn(3) {
+		switch r.Intn(3) {
 		case 0:
 			return &g.Streams, 0, maxStreams, true
 		case 1:
@@ -546,19 +547,19 @@ func knobField(g *Genome, knob string, r *rng) (f *uint8, lo, hi int, ok bool) {
 
 // nudgeKnob moves the named knob by a small step — the hill-climbing move
 // for reaching a bin adjacent to a parent's.
-func nudgeKnob(g *Genome, knob string, r *rng) {
+func nudgeKnob(g *Genome, knob string, r *xorshift.Rand) {
 	f, lo, hi, ok := knobField(g, knob, r)
 	if !ok {
 		return
 	}
 	span := hi - lo
-	step := 1 + r.intn(2)
+	step := 1 + r.Intn(2)
 	if span > 30 {
 		// Percentage-scale knobs: a one-notch bin move needs a bigger step.
-		step = 3 + r.intn(10)
+		step = 3 + r.Intn(10)
 	}
 	v := int(*f)
-	if r.intn(2) == 0 {
+	if r.Intn(2) == 0 {
 		v += step
 	} else {
 		v -= step
@@ -575,28 +576,28 @@ func nudgeKnob(g *Genome, knob string, r *rng) {
 // mutateKnob perturbs the genome field named by the canonical-line field
 // name: a small delta, a fresh random value, or a range extreme —
 // normalization folds whatever comes out back into the valid range.
-func mutateKnob(g *Genome, knob string, r *rng) {
+func mutateKnob(g *Genome, knob string, r *xorshift.Rand) {
 	f, lo, hi, ok := knobField(g, knob, r)
 	if !ok {
 		return
 	}
-	switch r.intn(8) {
+	switch r.Intn(8) {
 	case 0: // small positive delta
-		v := int(*f) + 1 + r.intn(3)
+		v := int(*f) + 1 + r.Intn(3)
 		if v > hi {
 			v = hi
 		}
 		*f = uint8(v)
 	case 1: // small negative delta
-		v := int(*f) - 1 - r.intn(3)
+		v := int(*f) - 1 - r.Intn(3)
 		if v < lo {
 			v = lo
 		}
 		*f = uint8(v)
 	case 2, 3, 4: // fresh uniform value: keeps the middle bins reachable
-		*f = uint8(lo + r.intn(hi-lo+1))
+		*f = uint8(lo + r.Intn(hi-lo+1))
 	default: // range extreme: 3/8 of draws pin the knob for joint extremes
-		if r.intn(2) == 0 {
+		if r.Intn(2) == 0 {
 			*f = uint8(lo)
 		} else {
 			*f = uint8(hi)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 // Register conventions of generated programs, matching the workload
@@ -34,7 +35,7 @@ import (
 // by asm.Parse. The same genome always yields byte-identical text.
 func (g Genome) Text() string {
 	g = g.normalize()
-	e := &emitter{g: g, r: newRNG(g.Seed)}
+	e := &emitter{g: g, r: xorshift.New(g.Seed)}
 	e.emit()
 	return e.sb.String()
 }
@@ -52,7 +53,7 @@ func (g Genome) Program() (*isa.Program, error) {
 type emitter struct {
 	sb  strings.Builder
 	g   Genome
-	r   *rng
+	r   *xorshift.Rand
 	lbl int
 }
 
@@ -67,7 +68,7 @@ func (e *emitter) ins(format string, args ...any) {
 }
 
 // temp picks one of the eight seeded body temporaries r10..r17.
-func (e *emitter) temp() int { return 10 + e.r.intn(8) }
+func (e *emitter) temp() int { return 10 + e.r.Intn(8) }
 
 // label returns a fresh unique label with the given stem.
 func (e *emitter) label(stem string) string {
@@ -112,7 +113,7 @@ func (e *emitter) emit() {
 		perm[i] = i
 	}
 	for i := E - 1; i > 0; i-- {
-		j := e.r.intn(i + 1)
+		j := e.r.Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	for i := 0; i < E; i++ {
@@ -120,15 +121,15 @@ func (e *emitter) emit() {
 	}
 	// vals: uniform words; the branchy-scan threshold cuts this range.
 	for i := 0; i < E; i++ {
-		e.f(".word vals %d %d", i*8, e.r.next()%valMask)
+		e.f(".word vals %d %d", i*8, e.r.Uint64()%valMask)
 	}
 	// idx: aligned offsets into vals.
 	for i := 0; i < IdxEntries; i++ {
-		e.f(".word idx %d %d", i*8, e.r.intn(E)*8)
+		e.f(".word idx %d %d", i*8, e.r.Intn(E)*8)
 	}
 	if g.FP != 0 {
 		for i := 0; i < 128; i++ {
-			v := 0.5 + float64(e.r.intn(4096))/1024
+			v := 0.5 + float64(e.r.Intn(4096))/1024
 			e.f(".float fpv %d %s", i*8, strconv.FormatFloat(v, 'g', -1, 64))
 		}
 	}
@@ -253,7 +254,7 @@ func (e *emitter) emitFragments() {
 		frags = append(frags, frag{"fp", e.emitFP})
 	}
 	for i := len(frags) - 1; i > 0; i-- {
-		j := e.r.intn(i + 1)
+		j := e.r.Intn(i + 1)
 		frags[i], frags[j] = frags[j], frags[i]
 	}
 	for _, fr := range frags {
@@ -266,7 +267,7 @@ func (e *emitter) emitFragments() {
 // emitStoreRatio stores a temp into the iteration's private slot with
 // probability StorePct — the store-ratio knob.
 func (e *emitter) emitStoreRatio() {
-	if e.r.intn(100) >= int(e.g.StorePct) {
+	if e.r.Intn(100) >= int(e.g.StorePct) {
 		return
 	}
 	e.ins("slli r18, r9, 3")
@@ -302,16 +303,16 @@ func (e *emitter) tempPair() (int, int) {
 func (e *emitter) emitStream() {
 	for j := 0; j < int(e.g.Streams); j++ {
 		switch {
-		case e.r.intn(100) < int(e.g.StridePct):
+		case e.r.Intn(100) < int(e.g.StridePct):
 			// Stride: consecutive iterations touch consecutive words.
-			e.ins("addi r18, r9, %d", j*(1+e.r.intn(3)))
+			e.ins("addi r18, r9, %d", j*(1+e.r.Intn(3)))
 			e.ins("andi r18, r18, %d", e.entries()-1)
 			e.ins("slli r18, r18, 3")
 			e.ins("add r18, r18, r6")
 			e.ins("ld r19, 0(r18)")
 			d, _ := e.tempPair()
 			e.ins("add r%d, r%d, r19", d, d)
-		case e.r.intn(100) < int(e.g.IndirPct):
+		case e.r.Intn(100) < int(e.g.IndirPct):
 			// Indirect: vals[idx[i]] — the equake gather archetype.
 			e.ins("addi r18, r9, %d", j)
 			e.ins("andi r18, r18, %d", IdxEntries-1)
@@ -324,9 +325,9 @@ func (e *emitter) emitStream() {
 			e.ins("xor r%d, r%d, r19", d, d)
 		default:
 			// Hashed: address computed from live temp values.
-			e.ins("li r19, %d", 0x9E3779B1|uint64(e.r.intn(1<<16))<<1|1)
+			e.ins("li r19, %d", 0x9E3779B1|uint64(e.r.Intn(1<<16))<<1|1)
 			e.ins("mul r18, r%d, r19", e.temp())
-			e.ins("srli r18, r18, %d", 5+e.r.intn(9))
+			e.ins("srli r18, r18, %d", 5+e.r.Intn(9))
 			e.ins("andi r18, r18, %d", e.entries()-1)
 			e.ins("slli r18, r18, 3")
 			e.ins("add r18, r18, r6")
@@ -342,9 +343,9 @@ func (e *emitter) emitStream() {
 // archetype.
 func (e *emitter) emitProbe() {
 	for j := 0; j < int(e.g.Probes); j++ {
-		e.ins("li r19, %d", 0x85EBCA77|uint64(e.r.intn(1<<16))<<1|1)
+		e.ins("li r19, %d", 0x85EBCA77|uint64(e.r.Intn(1<<16))<<1|1)
 		e.ins("mul r18, r%d, r19", e.temp())
-		e.ins("srli r18, r18, %d", 7+e.r.intn(7))
+		e.ins("srli r18, r18, %d", 7+e.r.Intn(7))
 		e.ins("andi r18, r18, %d", e.entries()-1)
 		e.ins("slli r18, r18, 3")
 		e.ins("add r18, r18, r6")
@@ -363,14 +364,14 @@ func (e *emitter) emitProbe() {
 func (e *emitter) emitReduce() {
 	ops := []string{"add", "mul", "xor", "sub", "and", "or"}
 	for j := 0; j < int(e.g.Reduce); j++ {
-		if e.r.intn(4) == 0 {
+		if e.r.Intn(4) == 0 {
 			imms := []string{"addi", "xori", "ori"}
 			d, _ := e.tempPair()
-			e.ins("%s r%d, r%d, %d", imms[e.r.intn(len(imms))], d, d, e.r.intn(64)-32)
+			e.ins("%s r%d, r%d, %d", imms[e.r.Intn(len(imms))], d, d, e.r.Intn(64)-32)
 			continue
 		}
 		d, _ := e.tempPair()
-		e.ins("%s r%d, r%d, r%d", ops[e.r.intn(len(ops))], d, d, e.temp())
+		e.ins("%s r%d, r%d, r%d", ops[e.r.Intn(len(ops))], d, d, e.temp())
 	}
 }
 
@@ -390,7 +391,7 @@ func (e *emitter) emitScan() {
 		e.ins("add r18, r18, r6")
 		e.ins("ld r19, 0(r18)")
 		d, _ := e.tempPair()
-		if e.r.intn(3) == 0 {
+		if e.r.Intn(3) == 0 {
 			// Parity hammock: irreducible 50% entropy.
 			e.ins("andi r19, r19, 1")
 			e.ins("bne r19, r0, %s", taken)
@@ -398,10 +399,10 @@ func (e *emitter) emitScan() {
 			e.ins("li r20, %d", threshold)
 			e.ins("blt r19, r20, %s", taken)
 		}
-		e.ins("xori r%d, r%d, %d", d, d, 1+e.r.intn(127))
+		e.ins("xori r%d, r%d, %d", d, d, 1+e.r.Intn(127))
 		e.ins("jmp %s", done)
 		e.f("%s:", taken)
-		e.ins("addi r%d, r%d, %d", d, d, 1+e.r.intn(127))
+		e.ins("addi r%d, r%d, %d", d, d, 1+e.r.Intn(127))
 		e.f("%s:", done)
 	}
 }
@@ -422,7 +423,7 @@ func (e *emitter) emitFP() {
 	e.ins("fld f2, 0(r19)")
 	e.ins("fadd f3, f1, f2")
 	e.ins("fmul f3, f3, f1")
-	if e.r.intn(2) == 0 {
+	if e.r.Intn(2) == 0 {
 		e.ins("fsub f3, f3, f2")
 	} else {
 		e.ins("fmax f3, f3, f2")

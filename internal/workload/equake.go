@@ -3,6 +3,7 @@ package workload
 import (
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 type equakeParams struct {
@@ -48,14 +49,14 @@ func Equake() *Workload {
 // (order), per-node FP values, per-visit weights, and the per-row walk
 // starts. Node i's successor in the walk is perm[i].
 func equakeData(p equakeParams) (order, perm []int, xval []float64, weights []float64, starts []int) {
-	r := newRNG(183)
+	r := xorshift.New(183)
 	n := p.XSize
 	order = make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	for i := n - 1; i > 0; i-- {
-		j := r.intn(i + 1)
+		j := r.Intn(i + 1)
 		order[i], order[j] = order[j], order[i]
 	}
 	perm = make([]int, n)
@@ -64,13 +65,13 @@ func equakeData(p equakeParams) (order, perm []int, xval []float64, weights []fl
 	}
 	xval = make([]float64, n)
 	for i := range xval {
-		xval[i] = float64(r.intn(2000))/500.0 - 2.0
+		xval[i] = float64(r.Intn(2000))/500.0 - 2.0
 	}
 	// The weight table is small and hot (element stiffness coefficients);
 	// visits index it by (row*NNZ + k) mod size.
 	weights = make([]float64, 512)
 	for i := range weights {
-		weights[i] = float64(r.intn(1000))/250.0 - 2.0
+		weights[i] = float64(r.Intn(1000))/250.0 - 2.0
 	}
 	rows := p.Windows*p.Window + Slack
 	starts = make([]int, rows)

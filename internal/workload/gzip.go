@@ -3,6 +3,7 @@ package workload
 import (
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 type gzipParams struct {
@@ -50,19 +51,19 @@ func gzipHash(v int64, bits int) int64 {
 }
 
 func gzipData(p gzipParams) []int64 {
-	r := newRNG(164)
+	r := xorshift.New(164)
 	buf := make([]int64, p.BufWords)
 	// Text-like data: values drawn from a small alphabet with repeated
 	// phrases so matches actually occur.
 	phrase := make([]int64, 64)
 	for i := range phrase {
-		phrase[i] = int64(r.intn(256))
+		phrase[i] = int64(r.Intn(256))
 	}
 	for i := range buf {
-		if r.intn(4) == 0 {
-			buf[i] = int64(r.intn(256))
+		if r.Intn(4) == 0 {
+			buf[i] = int64(r.Intn(256))
 		} else {
-			buf[i] = phrase[(i+r.intn(8))%len(phrase)]
+			buf[i] = phrase[(i+r.Intn(8))%len(phrase)]
 		}
 	}
 	return buf

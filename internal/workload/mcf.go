@@ -3,6 +3,7 @@ package workload
 import (
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 // mcfParams sizes the mcf-like kernel.
@@ -47,7 +48,7 @@ func Mcf() *Workload {
 // mcfData computes the initial node pool and chain heads.
 // Node layout: [next(8) val(8) cost(8) spare(8)], 32 bytes.
 func mcfData(p mcfParams) (perm []int, vals, costs []int64, heads []int, prices []int64) {
-	r := newRNG(181)
+	r := xorshift.New(181)
 	n := p.Nodes
 	// Random permutation cycle: node i's successor is perm[i].
 	order := make([]int, n)
@@ -55,7 +56,7 @@ func mcfData(p mcfParams) (perm []int, vals, costs []int64, heads []int, prices 
 		order[i] = i
 	}
 	for i := n - 1; i > 0; i-- {
-		j := r.intn(i + 1)
+		j := r.Intn(i + 1)
 		order[i], order[j] = order[j], order[i]
 	}
 	perm = make([]int, n)
@@ -65,8 +66,8 @@ func mcfData(p mcfParams) (perm []int, vals, costs []int64, heads []int, prices 
 	vals = make([]int64, n)
 	costs = make([]int64, n)
 	for i := 0; i < n; i++ {
-		vals[i] = int64(r.intn(2001) - 1000)
-		costs[i] = int64(r.intn(97))
+		vals[i] = int64(r.Intn(2001) - 1000)
+		costs[i] = int64(r.Intn(97))
 	}
 	// Consecutive chains start HeadStride steps apart along the same cycle,
 	// so walks of neighbouring iterations overlap heavily — the property
@@ -78,7 +79,7 @@ func mcfData(p mcfParams) (perm []int, vals, costs []int64, heads []int, prices 
 	}
 	prices = make([]int64, p.PriceSize)
 	for i := range prices {
-		prices[i] = int64(r.intn(31) - 15)
+		prices[i] = int64(r.Intn(31) - 15)
 	}
 	return perm, vals, costs, heads, prices
 }

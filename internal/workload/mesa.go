@@ -3,6 +3,7 @@ package workload
 import (
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 type mesaParams struct {
@@ -42,17 +43,17 @@ func Mesa() *Workload {
 }
 
 func mesaData(p mesaParams) (tex, fb []int64, atlas []int64, gamma []int64) {
-	r := newRNG(177)
+	r := xorshift.New(177)
 	tiles := p.Windows*p.Window + Slack
 	pixels := tiles * p.Tile
 	texels := tiles*p.AtlasDrift + p.AtlasSpread + p.TexSamples + 8
 	tex = make([]int64, texels)
 	fb = make([]int64, pixels)
 	for i := range tex {
-		tex[i] = int64(r.intn(1 << 24))
+		tex[i] = int64(r.Intn(1 << 24))
 	}
 	for i := range fb {
-		fb[i] = int64(r.intn(1 << 24))
+		fb[i] = int64(r.Intn(1 << 24))
 	}
 	// Texture filtering over a sliding atlas window: each tile samples
 	// TexSamples texels starting near tile*AtlasDrift, so adjacent tiles
@@ -60,13 +61,13 @@ func mesaData(p mesaParams) (tex, fb []int64, atlas []int64, gamma []int64) {
 	// prefetches most of the window its TU's next correct tile needs.
 	atlas = make([]int64, tiles)
 	for t := range atlas {
-		base := t*p.AtlasDrift + r.intn(p.AtlasSpread)
+		base := t*p.AtlasDrift + r.Intn(p.AtlasSpread)
 		atlas[t] = int64(8 * base)
 	}
 	// Hot gamma/colormap table applied to every filtered value.
 	gamma = make([]int64, 256)
 	for i := range gamma {
-		gamma[i] = int64((i*i)>>4) + int64(r.intn(3))
+		gamma[i] = int64((i*i)>>4) + int64(r.Intn(3))
 	}
 	return tex, fb, atlas, gamma
 }

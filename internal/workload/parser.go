@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 type parserParams struct {
@@ -43,10 +44,10 @@ func Parser() *Workload {
 }
 
 func parserData(p parserParams) (dict []int64, queries []int64) {
-	r := newRNG(197)
+	r := xorshift.New(197)
 	dict = make([]int64, p.DictSize)
 	for i := range dict {
-		dict[i] = int64(r.next() % (1 << 40))
+		dict[i] = int64(r.Uint64() % (1 << 40))
 	}
 	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
 	// Queries cluster around a center that drifts with position (words of a
@@ -56,8 +57,8 @@ func parserData(p parserParams) (dict []int64, queries []int64) {
 	nq := p.Windows*p.Window + Slack
 	queries = make([]int64, nq)
 	for i := range queries {
-		idx := (i*p.DictStep + r.intn(p.QSpread)) % p.DictSize
-		if r.intn(4) == 0 {
+		idx := (i*p.DictStep + r.Intn(p.QSpread)) % p.DictSize
+		if r.Intn(4) == 0 {
 			queries[i] = dict[idx] // present word
 		} else {
 			queries[i] = dict[idx] + 1 // near miss

@@ -3,6 +3,7 @@ package workload
 import (
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/xorshift"
 )
 
 type vprParams struct {
@@ -38,15 +39,15 @@ func Vpr() *Workload {
 }
 
 func vprData(p vprParams) (pos, delay []int64) {
-	r := newRNG(175)
+	r := xorshift.New(175)
 	pos = make([]int64, p.Cells)
 	for i := range pos {
-		pos[i] = int64(r.intn(1024))<<32 | int64(r.intn(1024))
+		pos[i] = int64(r.Intn(1024))<<32 | int64(r.Intn(1024))
 	}
 	// Hot delay lookup table (timing cost per wirelength bucket).
 	delay = make([]int64, 256)
 	for i := range delay {
-		delay[i] = int64(i + r.intn(7))
+		delay[i] = int64(i + r.Intn(7))
 	}
 	return pos, delay
 }

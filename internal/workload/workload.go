@@ -62,27 +62,6 @@ func ByName(name string) (*Workload, error) {
 	return nil, fmt.Errorf("workload: unknown benchmark %q", name)
 }
 
-// rng is a deterministic xorshift64 generator for data initialization.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-func (r *rng) intn(n int) int {
-	return int(r.next() % uint64(n))
-}
-
 // Register conventions shared by every kernel (see package comment):
 //
 //	r1  - iteration index / continuation variable (in mask)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/isa"
 	"repro/internal/memimg"
+	"repro/internal/xorshift"
 )
 
 func runInterp(t *testing.T, w *Workload, scale int) (*isa.Program, *interp.Result) {
@@ -185,13 +186,13 @@ func TestByName(t *testing.T) {
 }
 
 func TestRNGDeterministic(t *testing.T) {
-	a, b := newRNG(7), newRNG(7)
+	a, b := xorshift.New(7), xorshift.New(7)
 	for i := 0; i < 100; i++ {
-		if a.next() != b.next() {
+		if a.Uint64() != b.Uint64() {
 			t.Fatal("rng not deterministic")
 		}
 	}
-	if newRNG(0).next() == 0 {
+	if xorshift.New(0).Uint64() == 0 {
 		t.Error("zero seed not remapped")
 	}
 }

@@ -4,6 +4,7 @@
 //
 //	experiments -list
 //	experiments -run fig11
+//	experiments -run fig12,fig13,ext-latency
 //	experiments -run all [-scale 2] [-workers 8] [-v]
 //
 // Observability (see README "Observability" and "Live telemetry"):
@@ -75,7 +76,7 @@ func main() {
 func run() int {
 	var (
 		list    = flag.Bool("list", false, "list available experiments")
-		runID   = flag.String("run", "", "experiment id (table2, fig8..fig17) or 'all'")
+		runID   = flag.String("run", "", "experiment id (table2, fig8..fig17), a comma-separated list of ids, or 'all'")
 		scale   = flag.Int("scale", 1, "workload scale factor (multiplies window counts)")
 		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		verbose = flag.Bool("v", false, "print per-simulation progress")
@@ -310,11 +311,14 @@ func run() int {
 
 	exps := harness.All()
 	if *runID != "all" {
-		e, err := harness.ByID(*runID)
-		if err != nil {
-			return fail(err)
+		exps = nil
+		for _, id := range strings.Split(*runID, ",") {
+			e, err := harness.ByID(id)
+			if err != nil {
+				return fail(err)
+			}
+			exps = append(exps, e)
 		}
-		exps = []harness.Experiment{e}
 	}
 	var failed []string
 	for _, e := range exps {

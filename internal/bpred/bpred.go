@@ -34,9 +34,10 @@ func Default() Config {
 type Predictor struct {
 	cfg     Config
 	dir     DirPredictor
-	btbTags [][]uint64
-	btbTgts [][]int
-	btbLRU  [][]uint64
+	btbTags []uint64 // set-major, as are btbTgts/btbLRU: set s is [s*BTBAssoc, (s+1)*BTBAssoc)
+	btbTgts []int
+	btbLRU  []uint64
+	btbSets int
 	btbClk  uint64
 	ras     []int
 	rasTop  int
@@ -74,18 +75,14 @@ func New(cfg Config) (*Predictor, error) {
 	p := &Predictor{
 		cfg:     cfg,
 		dir:     dir,
-		btbTags: make([][]uint64, sets),
-		btbTgts: make([][]int, sets),
-		btbLRU:  make([][]uint64, sets),
+		btbTags: make([]uint64, cfg.BTBEntries),
+		btbTgts: make([]int, cfg.BTBEntries),
+		btbLRU:  make([]uint64, cfg.BTBEntries),
+		btbSets: sets,
 		ras:     make([]int, cfg.RASEntries),
 	}
-	for i := 0; i < sets; i++ {
-		p.btbTags[i] = make([]uint64, cfg.BTBAssoc)
-		p.btbTgts[i] = make([]int, cfg.BTBAssoc)
-		p.btbLRU[i] = make([]uint64, cfg.BTBAssoc)
-		for j := range p.btbTags[i] {
-			p.btbTags[i][j] = ^uint64(0)
-		}
+	for i := range p.btbTags {
+		p.btbTags[i] = ^uint64(0)
 	}
 	return p, nil
 }
@@ -121,17 +118,22 @@ func (p *Predictor) WarmCall(ret int) { p.PushRAS(ret) }
 // WarmRet pops the RAS (see WarmCall); an empty stack is a no-op.
 func (p *Predictor) WarmRet() { p.PopRAS() }
 
+// btbSet returns the index range [lo, hi) of pc's BTB set.
+func (p *Predictor) btbSet(pc int) (lo, hi int) {
+	lo = (pc & (p.btbSets - 1)) * p.cfg.BTBAssoc
+	return lo, lo + p.cfg.BTBAssoc
+}
+
 // LookupTarget consults the BTB for pc's branch target.
 func (p *Predictor) LookupTarget(pc int) (int, bool) {
-	sets := len(p.btbTags)
-	set := pc & (sets - 1)
+	lo, hi := p.btbSet(pc)
 	tag := uint64(pc)
-	for j := range p.btbTags[set] {
-		if p.btbTags[set][j] == tag {
+	for j := lo; j < hi; j++ {
+		if p.btbTags[j] == tag {
 			p.btbClk++
-			p.btbLRU[set][j] = p.btbClk
+			p.btbLRU[j] = p.btbClk
 			p.BTBHits++
-			return p.btbTgts[set][j], true
+			return p.btbTgts[j], true
 		}
 	}
 	p.BTBMisses++
@@ -140,30 +142,29 @@ func (p *Predictor) LookupTarget(pc int) (int, bool) {
 
 // UpdateTarget installs pc -> target in the BTB.
 func (p *Predictor) UpdateTarget(pc, target int) {
-	sets := len(p.btbTags)
-	set := pc & (sets - 1)
+	lo, hi := p.btbSet(pc)
 	tag := uint64(pc)
-	vi := 0
-	for j := range p.btbTags[set] {
-		if p.btbTags[set][j] == tag {
+	vi := lo
+	for j := lo; j < hi; j++ {
+		if p.btbTags[j] == tag {
 			vi = j
 			goto install
 		}
 	}
-	for j := range p.btbTags[set] {
-		if p.btbTags[set][j] == ^uint64(0) {
+	for j := lo; j < hi; j++ {
+		if p.btbTags[j] == ^uint64(0) {
 			vi = j
 			goto install
 		}
-		if p.btbLRU[set][j] < p.btbLRU[set][vi] {
+		if p.btbLRU[j] < p.btbLRU[vi] {
 			vi = j
 		}
 	}
 install:
 	p.btbClk++
-	p.btbTags[set][vi] = tag
-	p.btbTgts[set][vi] = target
-	p.btbLRU[set][vi] = p.btbClk
+	p.btbTags[vi] = tag
+	p.btbTgts[vi] = target
+	p.btbLRU[vi] = p.btbClk
 }
 
 // PushRAS records a return address on a call.

@@ -41,7 +41,7 @@ type line struct {
 // Cache is a set-associative tag array with true LRU replacement. It is not
 // safe for concurrent use; each simulated cache belongs to one goroutine.
 type Cache struct {
-	sets       [][]line
+	lines      []line // set-major: set s is lines[s*assoc : (s+1)*assoc]
 	setMask    uint64
 	blockShift uint
 	blockBytes int
@@ -77,13 +77,10 @@ func New(p Params) (*Cache, error) {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nsets)
 	}
 	c := &Cache{
-		sets:       make([][]line, nsets),
+		lines:      make([]line, blocks),
 		setMask:    uint64(nsets - 1),
 		blockBytes: p.BlockBytes,
 		assoc:      assoc,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, assoc)
 	}
 	for bs := p.BlockBytes; bs > 1; bs >>= 1 {
 		c.blockShift++
@@ -100,7 +97,7 @@ func NewFullyAssoc(entries, blockBytes int) (*Cache, error) {
 func (c *Cache) BlockBytes() int { return c.blockBytes }
 
 // Blocks returns the total line count.
-func (c *Cache) Blocks() int { return len(c.sets) * c.assoc }
+func (c *Cache) Blocks() int { return len(c.lines) }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
@@ -115,27 +112,32 @@ func (c *Cache) NextBlock(addr uint64) uint64 {
 	return c.BlockAddr(addr) + uint64(c.blockBytes)
 }
 
-func (c *Cache) find(addr uint64) (*line, []line) {
+// set returns the ways of the set tag maps to.
+func (c *Cache) set(tag uint64) []line {
+	i := int(tag&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc]
+}
+
+func (c *Cache) find(addr uint64) *line {
 	tag := addr >> c.blockShift
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			return &set[i], set
+			return &set[i]
 		}
 	}
-	return nil, set
+	return nil
 }
 
 // Probe reports whether addr's block is resident, without touching LRU
 // state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	ln, _ := c.find(addr)
-	return ln != nil
+	return c.find(addr) != nil
 }
 
 // Flags returns the metadata flags of addr's block, if resident.
 func (c *Cache) Flags(addr uint64) (uint8, bool) {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return 0, false
 	}
@@ -147,7 +149,7 @@ func (c *Cache) Flags(addr uint64) (uint8, bool) {
 // On a miss it returns false. Statistics are updated either way.
 func (c *Cache) Access(addr uint64, write bool) (uint8, bool) {
 	c.Accesses++
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		c.Misses++
 		return 0, false
@@ -169,7 +171,7 @@ func (c *Cache) Access(addr uint64, write bool) (uint8, bool) {
 // statistics (used by wrong-execution hits, which must not perturb the
 // demand-provenance metadata).
 func (c *Cache) Touch(addr uint64) bool {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return false
 	}
@@ -199,7 +201,7 @@ func (v Victim) Untouched() bool {
 // the set if necessary. Inserting an already-resident block just refreshes
 // its LRU state and ORs the flags. The evicted block, if any, is returned.
 func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
-	if ln, _ := c.find(addr); ln != nil {
+	if ln := c.find(addr); ln != nil {
 		c.clock++
 		ln.used = c.clock
 		ln.flags |= flags
@@ -207,7 +209,7 @@ func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
 		return Victim{}
 	}
 	tag := addr >> c.blockShift
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	vi := 0
 	for i := range set {
 		if !set[i].valid {
@@ -236,7 +238,7 @@ func (c *Cache) Insert(addr uint64, flags uint8, dirty bool) Victim {
 // Remove extracts addr's block from the cache, returning its metadata.
 // Used for the L1<->WEC swap on a WEC hit.
 func (c *Cache) Remove(addr uint64) (flags uint8, dirty, ok bool) {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return 0, false, false
 	}
@@ -253,7 +255,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // SetDirty marks a resident block dirty (sequential-mode update coherence).
 func (c *Cache) SetDirty(addr uint64) bool {
-	ln, _ := c.find(addr)
+	ln := c.find(addr)
 	if ln == nil {
 		return false
 	}
@@ -265,11 +267,9 @@ func (c *Cache) SetDirty(addr uint64) bool {
 // invariant checks).
 func (c *Cache) ResidentBlocks() []uint64 {
 	var out []uint64
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.valid {
-				out = append(out, ln.tag<<c.blockShift)
-			}
+	for _, ln := range c.lines {
+		if ln.valid {
+			out = append(out, ln.tag<<c.blockShift)
 		}
 	}
 	return out
@@ -277,11 +277,7 @@ func (c *Cache) ResidentBlocks() []uint64 {
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.Accesses, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0
 }

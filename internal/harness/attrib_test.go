@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/sample"
+	"repro/internal/simerr"
 )
 
 // TestAttribReconcilesMcfWEC pins the acceptance identity between the
@@ -111,5 +114,33 @@ func TestGainDecomposition(t *testing.T) {
 		if row[0] == "vc" && row[2] != "0" {
 			t.Errorf("vc row reports speculative fills: %v", row)
 		}
+	}
+}
+
+// TestSampledGainDoesNotPoisonLaterExperiments: attribution cannot run
+// under sampling, so a sampled gain refuses all its cells. The refusal
+// must not quarantine their memo keys: ext-latency, run next on the same
+// runner, needs the same orig and wth-wp-wec 8-TU cells and must succeed.
+func TestSampledGainDoesNotPoisonLaterExperiments(t *testing.T) {
+	r := NewRunner(1)
+	r.Sample = sample.Config{WarmupInsts: 500, MeasureInsts: 1000, PeriodInsts: 30000}
+	gain, err := ByID("gain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = gain.Run(r)
+	var se *SuiteError
+	if !errors.As(err, &se) {
+		t.Fatalf("sampled gain: %v, want a SuiteError", err)
+	}
+	if want := 5 * len(Benches()); len(se.Failures) != want || se.Kinds()[simerr.BadProgram] != want {
+		t.Fatalf("sampled gain failed %d cells (%v), want %d bad-program refusals", len(se.Failures), se.Kinds(), want)
+	}
+	lat, err := ByID("ext-latency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lat.Run(r); err != nil {
+		t.Fatalf("ext-latency after a sampled gain: %v", err)
 	}
 }

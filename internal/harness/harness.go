@@ -251,6 +251,14 @@ func (r *Runner) key(bench string, cfg sta.Config) string {
 // quarantined so later lookups fail fast (see SuiteError).
 func (r *Runner) Result(bench string, cfg sta.Config) (res *sta.Result, err error) {
 	k := r.key(bench, cfg)
+	if r.Attrib && r.Sample.Enabled() {
+		// Refused before any lookup or simulation, and not quarantined:
+		// the cell itself is fine, and quarantining its key would hide its
+		// sampled result from every later experiment that needs it.
+		return nil, r.cellError(k, bench, simerr.Errorf(simerr.BadProgram, "harness.Result",
+			"attribution (Runner.Attrib) is not supported under sampled simulation (Runner.Sample %s); attribution runs detailed only",
+			r.Sample.Key()))
+	}
 	var cell *telemetry.Cell
 	defer func() {
 		if rec := recover(); rec != nil {

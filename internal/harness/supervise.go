@@ -96,6 +96,19 @@ func shortKey(k string) string {
 // fast instead of re-running known-bad work, and tags the error with the
 // cell identity.
 func (r *Runner) quarantine(k, bench string, err error) error {
+	e := r.cellError(k, bench, err)
+	r.mu.Lock()
+	if r.failed == nil {
+		r.failed = make(map[string]error)
+	}
+	r.failed[k] = e
+	r.mu.Unlock()
+	return e
+}
+
+// cellError classifies a failed cell's error and tags it with the cell
+// identity: benchmark, configuration tag, and telemetry run.
+func (r *Runner) cellError(k, bench string, err error) *simerr.Error {
 	e := simerr.Classify("harness.Result", err, simerr.Unknown)
 	if e.Bench == "" {
 		e.Bench = bench
@@ -106,12 +119,6 @@ func (r *Runner) quarantine(k, bench string, err error) error {
 	if e.Run == "" && r.Telemetry != nil {
 		e.Run = r.Telemetry.ID
 	}
-	r.mu.Lock()
-	if r.failed == nil {
-		r.failed = make(map[string]error)
-	}
-	r.failed[k] = e
-	r.mu.Unlock()
 	return e
 }
 

@@ -85,21 +85,27 @@ func (e *Engine) Reset(pc int) {
 // StepN executes up to n dynamic instructions, stopping early on HALT or a
 // malformed program. It returns the number of instructions executed. The
 // engine may be called again to continue (unless Halted).
+//
+// The loop keeps the region state in locals and writes it back at each
+// return through save, never through a deferred closure: a closure would
+// make those locals address-taken and pin them to memory on every
+// instruction.
 func (e *Engine) StepN(n int64) (int64, error) {
 	if e.Halted || n <= 0 {
 		return 0, nil
 	}
 	var (
-		p      = e.Prog
-		img    = e.Mem
-		ir     = e.Int
-		fr     = e.FP
-		pc     = e.PC
-		forkTo = e.ForkTo
-		inPar  = e.InPar
-		done   int64
-		hooks  = e.Hooks
-		shift  = uint(0)
+		insts     = e.Prog.Insts
+		img       = e.Mem
+		ir        = e.Int
+		fr        = e.FP
+		pc        = e.PC
+		forkTo    = e.ForkTo
+		inPar     = e.InPar
+		lastBlock = e.lastBlock
+		done      int64
+		hooks     = e.Hooks
+		shift     = uint(0)
 	)
 	trackBlocks := hooks.Block != nil && e.BlockPCs > 0
 	if trackBlocks {
@@ -107,47 +113,44 @@ func (e *Engine) StepN(n int64) (int64, error) {
 			shift++
 		}
 	}
-	defer func() {
-		e.PC = pc
-		e.ForkTo = forkTo
-		e.InPar = inPar
-		e.Counts.Insts += done
-	}()
 	for done < n {
-		in := p.At(pc)
+		in := isa.Inst{Op: isa.HALT} // running off the program halts, as Program.At does
+		if uint(pc) < uint(len(insts)) {
+			in = insts[pc]
+		}
 		done++
 		if inPar {
 			e.Counts.ParInsts++
 		}
 		if trackBlocks {
-			if b := pc >> shift; b != e.lastBlock {
-				e.lastBlock = b
+			if b := pc >> shift; b != lastBlock {
+				lastBlock = b
 				hooks.Block(pc)
 			}
 		}
 		next := pc + 1
-		switch {
-		case in.Op == isa.HALT:
+		switch in.Op {
+		case isa.HALT:
 			e.Halted = true
+			e.save(pc, forkTo, inPar, lastBlock, done)
 			return done, nil
-		case in.Op == isa.NOP:
-		case in.Op == isa.BEGIN:
+		case isa.NOP, isa.TSAGD, isa.TSA:
+		case isa.BEGIN:
 			inPar = true
 			forkTo = -1
-		case in.Op == isa.FORK:
+		case isa.FORK:
 			forkTo = int(in.Imm)
 			e.Counts.Forks++
-		case in.Op == isa.TSAGD:
-		case in.Op == isa.TSA:
-		case in.Op == isa.THEND:
+		case isa.THEND:
 			if forkTo < 0 {
+				e.save(pc, forkTo, inPar, lastBlock, done)
 				return done, fmt.Errorf("interp: THEND at pc %d with no preceding FORK", pc)
 			}
 			next = forkTo
-		case in.Op == isa.ABORT:
+		case isa.ABORT:
 			inPar = false
 			forkTo = -1
-		case in.Op == isa.LD:
+		case isa.LD:
 			e.Counts.Loads++
 			addr := isa.EffAddr(in, ir[in.Rs1])
 			if hooks.Load != nil {
@@ -156,28 +159,28 @@ func (e *Engine) StepN(n int64) (int64, error) {
 			if in.Rd != 0 {
 				ir[in.Rd] = img.ReadWord(addr)
 			}
-		case in.Op == isa.FLD:
+		case isa.FLD:
 			e.Counts.Loads++
 			addr := isa.EffAddr(in, ir[in.Rs1])
 			if hooks.Load != nil {
 				hooks.Load(addr)
 			}
 			fr[in.Rd] = img.ReadFloat(addr)
-		case in.Op == isa.ST || in.Op == isa.TST:
+		case isa.ST, isa.TST:
 			e.Counts.Stores++
 			addr := isa.EffAddr(in, ir[in.Rs1])
 			img.WriteWord(addr, ir[in.Rs2])
 			if hooks.Store != nil {
 				hooks.Store(addr)
 			}
-		case in.Op == isa.FST:
+		case isa.FST:
 			e.Counts.Stores++
 			addr := isa.EffAddr(in, ir[in.Rs1])
 			img.WriteFloat(addr, fr[in.Rs2])
 			if hooks.Store != nil {
 				hooks.Store(addr)
 			}
-		case in.Op.IsBranch():
+		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 			e.Counts.Branches++
 			taken := isa.BranchTaken(in, ir[in.Rs1], ir[in.Rs2])
 			if taken {
@@ -187,9 +190,9 @@ func (e *Engine) StepN(n int64) (int64, error) {
 			if hooks.Branch != nil {
 				hooks.Branch(pc, taken)
 			}
-		case in.Op == isa.JMP:
+		case isa.JMP:
 			next = int(in.Imm)
-		case in.Op == isa.JAL:
+		case isa.JAL:
 			if in.Rd != 0 {
 				ir[in.Rd] = int64(pc + 1)
 			}
@@ -197,7 +200,7 @@ func (e *Engine) StepN(n int64) (int64, error) {
 				hooks.Call(pc + 1)
 			}
 			next = int(in.Imm)
-		case in.Op == isa.JR:
+		case isa.JR:
 			next = int(ir[in.Rs1])
 			if hooks.Ret != nil {
 				hooks.Ret()
@@ -212,5 +215,15 @@ func (e *Engine) StepN(n int64) (int64, error) {
 		}
 		pc = next
 	}
+	e.save(pc, forkTo, inPar, lastBlock, done)
 	return done, nil
+}
+
+// save writes StepN's loop state back to the engine.
+func (e *Engine) save(pc, forkTo int, inPar bool, lastBlock int, done int64) {
+	e.PC = pc
+	e.ForkTo = forkTo
+	e.InPar = inPar
+	e.lastBlock = lastBlock
+	e.Counts.Insts += done
 }

@@ -36,6 +36,13 @@ type Hierarchy struct {
 	cycle   uint64
 	chaos   *chaos.Injector
 
+	// warmTU/warmBlock name the block WarmSequentialStore last refreshed
+	// in the other TUs' L1s during the current fast-forward interval;
+	// warmSet marks them valid, so the zero value is an empty memo.
+	warmTU    int
+	warmBlock uint64
+	warmSet   bool
+
 	// Statistics.
 	L2Accesses uint64
 	L2Misses   uint64

@@ -70,10 +70,7 @@ func (d *DUnit) warmInsertL1(block uint64, dirty bool) {
 // warmUpdate mirrors the sequential-mode update protocol functionally: a
 // resident copy is refreshed in place (no bus-traffic accounting).
 func (d *DUnit) warmUpdate(addr uint64) {
-	block := d.l1.BlockAddr(addr)
-	if d.l1.Probe(block) {
-		d.l1.SetDirty(block)
-	}
+	d.l1.SetDirty(d.l1.BlockAddr(addr))
 }
 
 // WarmFetch replays one fast-forwarded instruction-block reference into
@@ -104,15 +101,31 @@ func (h *Hierarchy) warmWriteback(block uint64) {
 	h.l2.Insert(h.l2.BlockAddr(block), 0, true)
 }
 
+// BeginWarm starts a fast-forward interval: it forgets which block
+// WarmSequentialStore last updated, because detailed execution since the
+// previous interval may have changed every TU's L1.
+func (h *Hierarchy) BeginWarm() { h.warmSet = false }
+
 // WarmSequentialStore replays a fast-forwarded store executed in
 // sequential mode: the issuing TU's caches take the store, every other
 // TU's resident copy is refreshed (the §3.2.2 update protocol, minus the
 // bus statistics).
+//
+// During a fast-forward interval the other TUs' L1s change only through
+// that refresh, which sets the dirty bit of a resident block and is
+// therefore idempotent. A repeated store to the block the previous store
+// already refreshed, from the same TU and within one interval (see
+// BeginWarm), changes nothing there, so it skips the other TUs' probes.
 func (h *Hierarchy) WarmSequentialStore(srcTU int, addr uint64) {
+	src := &h.dunits[srcTU]
+	src.WarmStore(addr)
+	block := src.l1.BlockAddr(addr)
+	if h.warmSet && h.warmTU == srcTU && h.warmBlock == block {
+		return
+	}
+	h.warmTU, h.warmBlock, h.warmSet = srcTU, block, true
 	for tu := range h.dunits {
-		if tu == srcTU {
-			h.dunits[tu].WarmStore(addr)
-		} else {
+		if tu != srcTU {
 			h.dunits[tu].warmUpdate(addr)
 		}
 	}

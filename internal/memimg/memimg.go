@@ -21,8 +21,19 @@ const pageMask = PageSize - 1
 
 // Image is a sparse byte-addressable memory. The zero value is not usable;
 // call New.
+//
+// An Image has a single owner: even its read accessors update the
+// last-page translation, so one goroutine at a time may use it. Every
+// image has one owner today — a machine (sta.New), a reference run
+// (interp.RunLimit), or a program under construction (asm.Builder).
 type Image struct {
 	pages map[uint64]*[PageSize]byte
+	// lastPN/lastPage translate the most recently used page without a
+	// map lookup. Only pages that exist are cached (a read of an absent
+	// page allocates nothing and caches nothing), and pages are never
+	// freed, so the entry cannot go stale.
+	lastPN   uint64
+	lastPage *[PageSize]byte
 }
 
 // New returns an empty memory image; all bytes read as zero.
@@ -30,7 +41,7 @@ func New() *Image {
 	return &Image{pages: make(map[uint64]*[PageSize]byte)}
 }
 
-// Clone returns a deep copy of the image.
+// Clone returns a deep copy of the image (with a cold page translation).
 func (m *Image) Clone() *Image {
 	c := New()
 	for pn, pg := range m.pages {
@@ -40,13 +51,22 @@ func (m *Image) Clone() *Image {
 	return c
 }
 
+// page returns the page holding addr, allocating it when alloc is set;
+// nil means the page is absent (reads as zero).
 func (m *Image) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := addr >> PageBits
+	if pn == m.lastPN && m.lastPage != nil {
+		return m.lastPage
+	}
 	pg := m.pages[pn]
-	if pg == nil && alloc {
+	if pg == nil {
+		if !alloc {
+			return nil
+		}
 		pg = new([PageSize]byte)
 		m.pages[pn] = pg
 	}
+	m.lastPN, m.lastPage = pn, pg
 	return pg
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xorshift"
 )
 
 func TestZeroFill(t *testing.T) {
@@ -169,5 +171,65 @@ func TestFootprint(t *testing.T) {
 	m.SetByte(10*PageSize, 1)
 	if got := m.FootprintBytes(); got != 2*PageSize {
 		t.Errorf("footprint = %d, want %d", got, 2*PageSize)
+	}
+}
+
+// TestPageTranslationCachesOnlyPresentPages: reads of absent pages neither
+// allocate nor poison the last-page translation, and a clone starts with
+// its own translation, so writes through either image stay private.
+func TestPageTranslationCachesOnlyPresentPages(t *testing.T) {
+	m := New()
+	m.WriteWord(8, 11)
+	if m.ReadWord(3*PageSize) != 0 || m.ByteAt(5*PageSize+1) != 0 {
+		t.Fatal("absent page read non-zero")
+	}
+	if m.FootprintBytes() != PageSize {
+		t.Fatalf("reads of absent pages allocated: footprint %d", m.FootprintBytes())
+	}
+	m.WriteWord(3*PageSize, 33) // the page read above as absent
+	if m.ReadWord(3*PageSize) != 33 || m.ReadWord(8) != 11 {
+		t.Fatal("translation returned a stale page")
+	}
+	c := m.Clone()
+	c.WriteWord(8, 99)
+	m.WriteWord(3*PageSize, 44)
+	if m.ReadWord(8) != 11 || c.ReadWord(3*PageSize) != 33 {
+		t.Fatal("clone shares pages with its source")
+	}
+}
+
+// TestPageTranslationMatchesModel drives random word and byte accesses,
+// page-straddling ones included, over a few pages and checks every read
+// against a flat byte model.
+func TestPageTranslationMatchesModel(t *testing.T) {
+	m := New()
+	model := map[uint64]byte{}
+	next := xorshift.New(1).Uint64
+	for i := 0; i < 20000; i++ {
+		addr := next() % (4 * PageSize)
+		switch next() % 4 {
+		case 0:
+			v := next()
+			m.WriteWord(addr, int64(v))
+			for j := uint64(0); j < 8; j++ {
+				model[addr+j] = byte(v >> (8 * j))
+			}
+		case 1:
+			b := byte(next())
+			m.SetByte(addr, b)
+			model[addr] = b
+		case 2:
+			var want uint64
+			for j := uint64(0); j < 8; j++ {
+				want |= uint64(model[addr+j]) << (8 * j)
+			}
+			if got := uint64(m.ReadWord(addr)); got != want {
+				t.Fatalf("op %d: ReadWord(%#x) = %#x, want %#x", i, addr, got, want)
+			}
+		default:
+			if got := m.ByteAt(addr); got != model[addr] {
+				t.Fatalf("op %d: ByteAt(%#x) = %#x, want %#x", i, addr, got, model[addr])
+			}
+		}
 	}
 }

@@ -213,9 +213,9 @@ func (s *Sampler) Finish(final Counters) *stats.Sampled {
 		miss[i] = float64(w.L1DMiss)
 	}
 	sp.IPC = ratio(sum(commits), sum(cycles))
-	sp.IPCLo, sp.IPCHi = stats.BootstrapRatioCI(commits, cycles, 0, s.cfg.Seed, s.cfg.Confidence)
 	sp.L1DMiss = ratio(sum(miss), sum(acc))
-	sp.L1DMissLo, sp.L1DMissHi = stats.BootstrapRatioCI(miss, acc, 0, s.cfg.Seed, s.cfg.Confidence)
+	sp.IPCLo, sp.IPCHi, sp.L1DMissLo, sp.L1DMissHi = stats.BootstrapRatioPairCI(
+		commits, cycles, miss, acc, 0, s.cfg.Seed, s.cfg.Confidence)
 	if len(s.windows) == 0 {
 		// Halted inside the first warmup: no windows, but the whole run was
 		// detailed, so fall back to the run's own rates.

@@ -178,6 +178,7 @@ func (m *Machine) drainHier() {
 func (m *Machine) fastForward(ctx context.Context, tu *threadUnit, ff uint64) error {
 	pc := tu.core.SquashForSample()
 	m.drainHier()
+	m.hier.BeginWarm()
 	eng := m.eng
 	m.ffTU = tu.id
 	eng.Int = &tu.core.IntRegs

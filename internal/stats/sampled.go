@@ -11,7 +11,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/xorshift"
 )
@@ -108,47 +107,66 @@ func BootstrapCI(xs []float64, boot int, seed uint64, conf float64) (lo, hi floa
 	return percentiles(means, boot, conf)
 }
 
-// BootstrapRatioCI bootstraps the ratio-of-sums estimator sum(num)/sum(den)
-// over paired observations — the form window-weighted rates take (IPC =
-// commits/cycles, miss rate = misses/accesses). Resampling happens over
-// whole pairs, deterministic in seed. Degenerate inputs (one pair, or a
-// resample with zero denominator) collapse to the point estimate.
-func BootstrapRatioCI(num, den []float64, boot int, seed uint64, conf float64) (lo, hi float64) {
-	if len(num) == 0 || len(num) != len(den) {
-		return 0, 0
+// BootstrapRatioPairCI bootstraps two ratio-of-sums estimators,
+// sum(numA)/sum(denA) and sum(numB)/sum(denB), over the same paired
+// observations — the form window-weighted rates take (IPC =
+// commits/cycles, miss rate = misses/accesses). Both estimators resample
+// the same whole windows from one deterministic xorshift64 stream seeded
+// with seed, so each interval equals what bootstrapping that pair alone
+// with the same seed gives. One window collapses both intervals to the
+// point estimates; a resample whose denominator sums to zero counts as
+// ratio zero, and a non-finite one as the point estimate. All four slices
+// hold one entry per window; mismatched lengths yield zeros.
+//
+// The interval bounds are order statistics of the resampled ratios, found
+// by selection rather than a full sort. For the non-negative counts the
+// estimators take, equal ratios are identical values, so selection and
+// sorting pick the same bounds.
+func BootstrapRatioPairCI(numA, denA, numB, denB []float64, boot int, seed uint64, conf float64) (aLo, aHi, bLo, bHi float64) {
+	n := len(numA)
+	if n == 0 || len(denA) != n || len(numB) != n || len(denB) != n {
+		return 0, 0, 0, 0
 	}
-	point := ratioOfSums(num, den, nil)
-	if len(num) == 1 {
-		return point, point
+	pointA, pointB := ratioOfSums(numA, denA), ratioOfSums(numB, denB)
+	if n == 1 {
+		return pointA, pointA, pointB, pointB
 	}
 	boot, conf, rng := bootParams(boot, conf, seed)
-	ratios := make([]float64, boot)
-	idx := make([]int, len(num))
-	n := uint64(len(num))
-	for i := range ratios {
-		for j := range idx {
-			idx[j] = int(rng.Uint64() % n)
+	ra, rb := make([]float64, boot), make([]float64, boot)
+	for i := range ra {
+		var sna, sda, snb, sdb float64
+		for j := 0; j < n; j++ {
+			k := rng.Uint64() % uint64(n)
+			sna += numA[k]
+			sda += denA[k]
+			snb += numB[k]
+			sdb += denB[k]
 		}
-		ratios[i] = ratioOfSums(num, den, idx)
-		if math.IsNaN(ratios[i]) || math.IsInf(ratios[i], 0) {
-			ratios[i] = point
-		}
+		ra[i] = resampled(sna, sda, pointA)
+		rb[i] = resampled(snb, sdb, pointB)
 	}
-	return percentiles(ratios, boot, conf)
+	aLo, aHi = percentiles(ra, boot, conf)
+	bLo, bHi = percentiles(rb, boot, conf)
+	return aLo, aHi, bLo, bHi
 }
 
-func ratioOfSums(num, den []float64, idx []int) float64 {
+// resampled is one bootstrap replicate's ratio, with a zero denominator
+// counting as zero and a non-finite ratio replaced by the point estimate.
+func resampled(sn, sd, point float64) float64 {
+	if sd == 0 {
+		return 0
+	}
+	if r := sn / sd; !math.IsNaN(r) && !math.IsInf(r, 0) {
+		return r
+	}
+	return point
+}
+
+func ratioOfSums(num, den []float64) float64 {
 	var sn, sd float64
-	if idx == nil {
-		for i := range num {
-			sn += num[i]
-			sd += den[i]
-		}
-	} else {
-		for _, i := range idx {
-			sn += num[i]
-			sd += den[i]
-		}
+	for i := range num {
+		sn += num[i]
+		sd += den[i]
 	}
 	if sd == 0 {
 		return 0
@@ -166,8 +184,10 @@ func bootParams(boot int, conf float64, seed uint64) (int, float64, *xorshift.Ra
 	return boot, conf, xorshift.New(seed)
 }
 
+// percentiles returns the percentile-bootstrap bounds of vals: the order
+// statistics sort.Float64s would place at the two tail indices, found by
+// selection in linear time. vals is reordered.
 func percentiles(vals []float64, boot int, conf float64) (lo, hi float64) {
-	sort.Float64s(vals)
 	alpha := (1 - conf) / 2
 	loIdx := int(math.Floor(alpha * float64(boot)))
 	hiIdx := int(math.Ceil((1-alpha)*float64(boot))) - 1
@@ -177,5 +197,41 @@ func percentiles(vals []float64, boot int, conf float64) (lo, hi float64) {
 	if hiIdx >= boot {
 		hiIdx = boot - 1
 	}
-	return vals[loIdx], vals[hiIdx]
+	return selectKth(vals, loIdx), selectKth(vals, hiIdx)
 }
+
+// selectKth partially reorders v (Hoare's FIND) until v[k] holds the value
+// sort.Float64s would place at index k, and returns it. It orders like
+// sort.Float64s, NaNs first.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		p := v[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(v[i], p) {
+				i++
+			}
+			for floatLess(p, v[j]) {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return v[k]
+		}
+	}
+	return v[k]
+}
+
+// floatLess is sort.Float64s's order: numeric, with NaNs before numbers.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }

@@ -49,8 +49,11 @@ func BenchmarkFig17(b *testing.B)  { benchExperiment(b, "fig17") }
 
 // ---- Simulator throughput micro-benchmarks -----------------------------
 //
-// These measure the simulator itself (simulated cycles per wall second),
-// useful when working on the core or memory-system code.
+// These measure the simulator itself (simulated cycles per wall second,
+// and wall nanoseconds per committed instruction), useful when working on
+// the core or memory-system code, e.g.
+//
+//	go test -run XXX -bench 'Sim(McfWEC8TU|GzipOrig1TU)$' -benchtime 20x .
 
 func benchSimulate(b *testing.B, bench string, cfgName config.Name, tus int, interval uint64) {
 	w, err := workload.ByName(bench)
@@ -66,7 +69,7 @@ func benchSimulate(b *testing.B, bench string, cfgName config.Name, tus int, int
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var cycles uint64
+	var cycles, commits uint64
 	for i := 0; i < b.N; i++ {
 		m, err := sta.New(cfg, prog)
 		if err != nil {
@@ -80,9 +83,11 @@ func benchSimulate(b *testing.B, bench string, cfgName config.Name, tus int, int
 			b.Fatal(err)
 		}
 		cycles += res.Stats.Cycles
+		commits += res.Stats.Commits
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(commits), "ns/commit")
 }
 
 func BenchmarkSimMcfOrig8TU(b *testing.B)   { benchSimulate(b, "mcf", config.Orig, 8, 0) }

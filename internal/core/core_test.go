@@ -91,7 +91,7 @@ func buildRig(t *testing.T, cfg Config, p *isa.Program) *rig {
 	asm.LoadData(p, img)
 	d := newTestDMem(img)
 	e := &testEnv{}
-	c, err := New(cfg, p, h.IUnit(0), d, e)
+	c, err := New(cfg, isa.Predecode(p), h.IUnit(0), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}

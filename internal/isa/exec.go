@@ -4,7 +4,7 @@ import "math"
 
 // Eval computes the result of a non-memory, non-control operation given its
 // source operand values. Integer sources arrive in s1/s2, FP sources in
-// f1/f2 (per SrcRegs). It returns the integer result and the FP result; the
+// f1/f2 (per the Decoded.Src bits). It returns the integer result and the FP result; the
 // caller keeps whichever file the destination lives in (Op.FPDest). Both the
 // out-of-order core's execute stage and the functional reference interpreter
 // use this single definition, so their semantics agree by construction.

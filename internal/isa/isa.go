@@ -139,67 +139,77 @@ type opInfo struct {
 	isJump  bool // unconditional control transfer
 	isLoad  bool
 	isStore bool
-	fpRd    bool // destination is in the FP file
-	fpRs    bool // sources are in the FP file
-	sta     bool // STA thread-pipelining primitive
+	dest    bool  // writes Rd (integer r0 excepted; see PredecodeInst)
+	fpRd    bool  // destination is in the FP file
+	src     uint8 // source operands read: Src* bits
+	sta     bool  // STA thread-pipelining primitive
 }
+
+// Source forms of the opTable src column.
+const (
+	srcR  = SrcUse1                             // rs1
+	srcRR = SrcUse1 | SrcUse2                   // rs1, rs2
+	srcF  = SrcUse1 | SrcFP1                    // frs1
+	srcFF = SrcUse1 | SrcUse2 | SrcFP1 | SrcFP2 // frs1, frs2
+	srcRF = SrcUse1 | SrcUse2 | SrcFP2          // rs1 (address), frs2 (data)
+)
 
 var opTable = [numOps]opInfo{
 	NOP:   {name: "nop", fu: FUNone, lat: 1},
 	HALT:  {name: "halt", fu: FUNone, lat: 1},
-	ADD:   {name: "add", fu: FUIntALU, lat: LatIntALU},
-	SUB:   {name: "sub", fu: FUIntALU, lat: LatIntALU},
-	MUL:   {name: "mul", fu: FUIntMul, lat: LatIntMul},
-	DIV:   {name: "div", fu: FUIntMul, lat: LatIntDiv},
-	REM:   {name: "rem", fu: FUIntMul, lat: LatIntDiv},
-	AND:   {name: "and", fu: FUIntALU, lat: LatIntALU},
-	OR:    {name: "or", fu: FUIntALU, lat: LatIntALU},
-	XOR:   {name: "xor", fu: FUIntALU, lat: LatIntALU},
-	SLL:   {name: "sll", fu: FUIntALU, lat: LatIntALU},
-	SRL:   {name: "srl", fu: FUIntALU, lat: LatIntALU},
-	SRA:   {name: "sra", fu: FUIntALU, lat: LatIntALU},
-	SLT:   {name: "slt", fu: FUIntALU, lat: LatIntALU},
-	SLTU:  {name: "sltu", fu: FUIntALU, lat: LatIntALU},
-	ADDI:  {name: "addi", fu: FUIntALU, lat: LatIntALU},
-	ANDI:  {name: "andi", fu: FUIntALU, lat: LatIntALU},
-	ORI:   {name: "ori", fu: FUIntALU, lat: LatIntALU},
-	XORI:  {name: "xori", fu: FUIntALU, lat: LatIntALU},
-	SLLI:  {name: "slli", fu: FUIntALU, lat: LatIntALU},
-	SRLI:  {name: "srli", fu: FUIntALU, lat: LatIntALU},
-	SRAI:  {name: "srai", fu: FUIntALU, lat: LatIntALU},
-	SLTI:  {name: "slti", fu: FUIntALU, lat: LatIntALU},
-	LI:    {name: "li", fu: FUIntALU, lat: LatIntALU},
-	FADD:  {name: "fadd", fu: FUFPAdd, lat: LatFPAdd, fpRd: true, fpRs: true},
-	FSUB:  {name: "fsub", fu: FUFPAdd, lat: LatFPAdd, fpRd: true, fpRs: true},
-	FMUL:  {name: "fmul", fu: FUFPMul, lat: LatFPMul, fpRd: true, fpRs: true},
-	FDIV:  {name: "fdiv", fu: FUFPMul, lat: LatFPDiv, fpRd: true, fpRs: true},
-	FNEG:  {name: "fneg", fu: FUFPAdd, lat: LatFPAdd, fpRd: true, fpRs: true},
-	FABS:  {name: "fabs", fu: FUFPAdd, lat: LatFPAdd, fpRd: true, fpRs: true},
-	FMIN:  {name: "fmin", fu: FUFPAdd, lat: LatFPAdd, fpRd: true, fpRs: true},
-	FMAX:  {name: "fmax", fu: FUFPAdd, lat: LatFPAdd, fpRd: true, fpRs: true},
-	FLT:   {name: "flt", fu: FUFPAdd, lat: LatFPAdd, fpRs: true},
-	FLE:   {name: "fle", fu: FUFPAdd, lat: LatFPAdd, fpRs: true},
-	I2F:   {name: "i2f", fu: FUFPAdd, lat: LatFPAdd, fpRd: true},
-	F2I:   {name: "f2i", fu: FUFPAdd, lat: LatFPAdd, fpRs: true},
-	FLI:   {name: "fli", fu: FUFPAdd, lat: LatFPAdd, fpRd: true},
-	LD:    {name: "ld", fu: FUMem, isLoad: true},
-	ST:    {name: "st", fu: FUMem, isStore: true},
-	FLD:   {name: "fld", fu: FUMem, isLoad: true, fpRd: true},
-	FST:   {name: "fst", fu: FUMem, isStore: true, fpRs: true},
-	BEQ:   {name: "beq", fu: FUIntALU, lat: LatIntALU, isBr: true},
-	BNE:   {name: "bne", fu: FUIntALU, lat: LatIntALU, isBr: true},
-	BLT:   {name: "blt", fu: FUIntALU, lat: LatIntALU, isBr: true},
-	BGE:   {name: "bge", fu: FUIntALU, lat: LatIntALU, isBr: true},
-	BLTU:  {name: "bltu", fu: FUIntALU, lat: LatIntALU, isBr: true},
-	BGEU:  {name: "bgeu", fu: FUIntALU, lat: LatIntALU, isBr: true},
+	ADD:   {name: "add", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	SUB:   {name: "sub", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	MUL:   {name: "mul", fu: FUIntMul, lat: LatIntMul, dest: true, src: srcRR},
+	DIV:   {name: "div", fu: FUIntMul, lat: LatIntDiv, dest: true, src: srcRR},
+	REM:   {name: "rem", fu: FUIntMul, lat: LatIntDiv, dest: true, src: srcRR},
+	AND:   {name: "and", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	OR:    {name: "or", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	XOR:   {name: "xor", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	SLL:   {name: "sll", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	SRL:   {name: "srl", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	SRA:   {name: "sra", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	SLT:   {name: "slt", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	SLTU:  {name: "sltu", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcRR},
+	ADDI:  {name: "addi", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	ANDI:  {name: "andi", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	ORI:   {name: "ori", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	XORI:  {name: "xori", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	SLLI:  {name: "slli", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	SRLI:  {name: "srli", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	SRAI:  {name: "srai", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	SLTI:  {name: "slti", fu: FUIntALU, lat: LatIntALU, dest: true, src: srcR},
+	LI:    {name: "li", fu: FUIntALU, lat: LatIntALU, dest: true},
+	FADD:  {name: "fadd", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcFF},
+	FSUB:  {name: "fsub", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcFF},
+	FMUL:  {name: "fmul", fu: FUFPMul, lat: LatFPMul, dest: true, fpRd: true, src: srcFF},
+	FDIV:  {name: "fdiv", fu: FUFPMul, lat: LatFPDiv, dest: true, fpRd: true, src: srcFF},
+	FNEG:  {name: "fneg", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcF},
+	FABS:  {name: "fabs", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcF},
+	FMIN:  {name: "fmin", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcFF},
+	FMAX:  {name: "fmax", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcFF},
+	FLT:   {name: "flt", fu: FUFPAdd, lat: LatFPAdd, dest: true, src: srcFF},
+	FLE:   {name: "fle", fu: FUFPAdd, lat: LatFPAdd, dest: true, src: srcFF},
+	I2F:   {name: "i2f", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true, src: srcR},
+	F2I:   {name: "f2i", fu: FUFPAdd, lat: LatFPAdd, dest: true, src: srcF},
+	FLI:   {name: "fli", fu: FUFPAdd, lat: LatFPAdd, dest: true, fpRd: true},
+	LD:    {name: "ld", fu: FUMem, isLoad: true, dest: true, src: srcR},
+	ST:    {name: "st", fu: FUMem, isStore: true, src: srcRR},
+	FLD:   {name: "fld", fu: FUMem, isLoad: true, dest: true, fpRd: true, src: srcR},
+	FST:   {name: "fst", fu: FUMem, isStore: true, src: srcRF},
+	BEQ:   {name: "beq", fu: FUIntALU, lat: LatIntALU, isBr: true, src: srcRR},
+	BNE:   {name: "bne", fu: FUIntALU, lat: LatIntALU, isBr: true, src: srcRR},
+	BLT:   {name: "blt", fu: FUIntALU, lat: LatIntALU, isBr: true, src: srcRR},
+	BGE:   {name: "bge", fu: FUIntALU, lat: LatIntALU, isBr: true, src: srcRR},
+	BLTU:  {name: "bltu", fu: FUIntALU, lat: LatIntALU, isBr: true, src: srcRR},
+	BGEU:  {name: "bgeu", fu: FUIntALU, lat: LatIntALU, isBr: true, src: srcRR},
 	JMP:   {name: "jmp", fu: FUIntALU, lat: LatIntALU, isJump: true},
-	JAL:   {name: "jal", fu: FUIntALU, lat: LatIntALU, isJump: true},
-	JR:    {name: "jr", fu: FUIntALU, lat: LatIntALU, isJump: true},
+	JAL:   {name: "jal", fu: FUIntALU, lat: LatIntALU, isJump: true, dest: true},
+	JR:    {name: "jr", fu: FUIntALU, lat: LatIntALU, isJump: true, src: srcR},
 	BEGIN: {name: "begin", fu: FUNone, lat: 1, sta: true},
 	FORK:  {name: "fork", fu: FUNone, lat: 1, sta: true},
 	TSAGD: {name: "tsagd", fu: FUNone, lat: 1, sta: true},
-	TSA:   {name: "tsa", fu: FUIntALU, lat: LatIntALU, sta: true},
-	TST:   {name: "tst", fu: FUMem, isStore: true, sta: true},
+	TSA:   {name: "tsa", fu: FUIntALU, lat: LatIntALU, sta: true, src: srcR},
+	TST:   {name: "tst", fu: FUMem, isStore: true, sta: true, src: srcRR},
 	THEND: {name: "thend", fu: FUNone, lat: 1, sta: true},
 	ABORT: {name: "abort", fu: FUNone, lat: 1, sta: true},
 }
@@ -247,54 +257,7 @@ func (op Op) IsSTA() bool { return opTable[op].sta }
 func (op Op) FPDest() bool { return opTable[op].fpRd }
 
 // FPSrc reports whether op reads the FP register file for its sources.
-func (op Op) FPSrc() bool { return opTable[op].fpRs }
-
-// HasDest reports whether the instruction writes a destination register.
-func (in Inst) HasDest() bool {
-	switch in.Op {
-	case NOP, HALT, ST, FST, TST, BEQ, BNE, BLT, BGE, BLTU, BGEU, JMP, JR,
-		BEGIN, FORK, TSAGD, TSA, THEND, ABORT:
-		return false
-	}
-	// Integer destination register 0 is hardwired to zero: treat as no dest.
-	if !in.Op.FPDest() && in.Rd == 0 {
-		return false
-	}
-	return true
-}
-
-// SrcRegs returns the source register indices read by the instruction and
-// whether each comes from the FP file. Unused slots return ok=false.
-func (in Inst) SrcRegs() (r1, r2 uint8, use1, use2, fp1, fp2 bool) {
-	info := opTable[in.Op]
-	switch in.Op {
-	case NOP, HALT, LI, FLI, JMP, JAL, BEGIN, TSAGD, THEND, ABORT, FORK:
-		return 0, 0, false, false, false, false
-	case ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI:
-		return in.Rs1, 0, true, false, false, false
-	case I2F:
-		return in.Rs1, 0, true, false, false, false
-	case F2I, FNEG, FABS:
-		return in.Rs1, 0, true, false, true, false
-	case LD, FLD:
-		return in.Rs1, 0, true, false, false, false
-	case ST:
-		return in.Rs1, in.Rs2, true, true, false, false
-	case FST:
-		// Address register is integer; data register is FP.
-		return in.Rs1, in.Rs2, true, true, false, true
-	case TST:
-		return in.Rs1, in.Rs2, true, true, false, false
-	case TSA:
-		return in.Rs1, 0, true, false, false, false
-	case JR:
-		return in.Rs1, 0, true, false, false, false
-	case FLT, FLE:
-		return in.Rs1, in.Rs2, true, true, true, true
-	}
-	// Default three-operand form.
-	return in.Rs1, in.Rs2, true, true, info.fpRs, info.fpRs
-}
+func (op Op) FPSrc() bool { return opTable[op].src&(SrcFP1|SrcFP2) != 0 }
 
 // String disassembles the instruction.
 func (in Inst) String() string {

@@ -223,11 +223,12 @@ func New(cfg Config, prog *isa.Program) (*Machine, error) {
 	}
 	ccfg := cfg.Core
 	ccfg.SeqLoops = m.seqLoops
+	code := isa.Predecode(prog) // one static decode, shared by every core
 	m.tus = make([]threadUnit, cfg.NumTUs)
 	for id := 0; id < cfg.NumTUs; id++ {
 		tu := &m.tus[id]
 		tu.init(m, id)
-		c, err := core.New(ccfg, prog, hier.IUnit(id), tu, tu)
+		c, err := core.New(ccfg, code, hier.IUnit(id), tu, tu)
 		if err != nil {
 			return nil, err
 		}
